@@ -145,7 +145,9 @@ def green_laplace_closed(x: float, y: float, q: float) -> float:
     if s * PI > 350:
         # avoid overflow: sinh(a)sinh(b)/sinh(c) = ~ exp(a+b-c)/2 for large args
         return math.exp(s * (lo + (PI - hi) - PI)) / (2 * s)
-    return math.sinh(s * lo) * math.sinh(s * (PI - hi)) / (s * math.sinh(s * PI))
+    # grouped so that no intermediate leaves the normal range: for subnormal
+    # q the plain product sinh * sinh underflows
+    return (math.sinh(s * lo) / s) * (math.sinh(s * (PI - hi)) / math.sinh(s * PI))
 
 
 def green_laplace(x: float, y: float, q: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
@@ -322,10 +324,6 @@ class UnitScaling:
 
     def from_unit_time(self, t_unit: float) -> float:
         return t_unit / self.time
-
-    def to_unit_rate(self, v0: float) -> float:
-        # also maps the Laplace variable, conjugate to time
-        return v0 / self.time
 
     def to_unit_dirac_strength(self, k: float) -> float:
         # strength has units length/time

@@ -14,7 +14,12 @@ Scenario configs are INI files with sections:
 
 Unknown sections or keys are rejected.  All quantities are dimensionless;
 supply consistent units (d in length^2/time, rates in 1/time, spot
-strengths in length/time).
+strengths in length/time).  `dt` and `t_max` set the steps of `pde`
+evolution only: `split --method pde` is the exact infinite-horizon sum of
+the Crank-Nicolson scheme and depends on `cells` alone.
+
+The MC worker count is `--workers`, else the KILLDIFF_WORKERS environment
+variable, else the config's `mc_workers`; it must be an integer >= 1.
 
 CSV schemas (stable):
     survival.csv   t,survival,stderr
@@ -29,8 +34,8 @@ CSV schemas (stable):
                    sigma,tol,passed,acceptance,note
 
 Exit codes: 0 success, 1 failed acceptance row in `crosscheck`, 2 config or
-usage error.  Identical invocations with identical seeds produce
-byte-identical output files.
+usage error.  Identical invocations with identical seeds and worker counts
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -233,12 +238,29 @@ def _write_rows(path: str, header: str, rows: Sequence[Sequence[object]]) -> Non
     print(f"wrote {path}")
 
 
+def _workers(args, default: int) -> int:
+    """MC worker count: --workers, else KILLDIFF_WORKERS, else default."""
+    if args.workers is not None:
+        value, source = args.workers, "--workers"
+    else:
+        text = os.environ.get("KILLDIFF_WORKERS", "")
+        if not text:
+            return default
+        source = "KILLDIFF_WORKERS"
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{source} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"{source} must be at least 1, got {value}")
+    return value
+
+
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     mc = cfg.mc
     if args.seed is not None:
         mc = replace(mc, seed=args.seed)
-    workers = args.workers or int(os.environ.get("KILLDIFF_WORKERS", "0")) or mc.workers
-    mc = replace(mc, workers=workers)
+    mc = replace(mc, workers=_workers(args, mc.workers))
     return replace(cfg, mc=mc)
 
 
@@ -479,8 +501,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    workers = args.workers or int(os.environ.get("KILLDIFF_WORKERS", "0")) or 1
-    report = crosscheck.run_matrix(seed=seed, workers=workers)
+    report = crosscheck.run_matrix(seed=seed, workers=_workers(args, 1))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     report.write_csv(os.path.join(out, "report.csv"))
@@ -499,11 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the MC seed")
     parser.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=int, default=None,
         help="MC worker count (default: KILLDIFF_WORKERS env var or config)",
     )
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--format", choices=("csv",), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="evaluate applicable closed forms")

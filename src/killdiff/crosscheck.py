@@ -420,7 +420,7 @@ def _run_green(sc: Scenario) -> List[Comparison]:
     return rows
 
 
-def paper_resolvent_cosine_sum(x: float, y: float, q: float, n_terms: int = 200000) -> float:
+def paper_resolvent_cosine_sum(x: float, y: float, q: float) -> float:
     """The source text's cosh/tanh cosine-sum resolvent, kept verbatim for
     the discrepancy table (it does not reproduce its own series)."""
     if q <= 0:

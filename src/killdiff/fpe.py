@@ -7,6 +7,11 @@ killings and point sources are split position-weighted across the two
 bracketing nodes.  The scheme's discrete conservation identity
 dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes the
 absorbed/killed bookkeeping in `split_statistics` exact.
+
+`evolve` steps the scheme in time.  `split_statistics` does not: the
+Crank-Nicolson midpoint sums over an infinite horizon are, for every dt,
+(-A)^-1 u0 and A^-2 u0, so the split is two tridiagonal solves and is the
+exact infinite-horizon sum of the stepped scheme.
 """
 
 from __future__ import annotations
@@ -100,13 +105,11 @@ class _Discretization:
         # over the bracketing nodes so that sum(h * k * p) reproduces k*p(xs)
         self.k = killing.smooth_rate(self.x)
         for xs, ks in killing.spots:
-            j = min(int(xs / self.dx), n_cells - 1)
-            theta = xs / self.dx - j
-            self.k[j] += ks * (1 - theta) / self.h[j]
-            self.k[j + 1] += ks * theta / self.h[j + 1]
+            self.k += self.point_mass(xs, ks)
 
         self.i0 = 1 if self.left_kind is BoundaryKind.ABSORBING else 0
         self.i1 = n_cells - 1 if self.right_kind is BoundaryKind.ABSORBING else n_cells
+        self.unknowns = slice(self.i0, self.i1 + 1)
         self.m = self.i1 - self.i0 + 1
         if self.m < 3:
             raise ValueError("grid too coarse for the boundary configuration")
@@ -139,10 +142,28 @@ class _Discretization:
             di[r] -= self.k[i]
         self.lower, self.diag, self.upper = lo, di, up
 
+    def point_mass(self, pos: float, strength: float = 1.0) -> np.ndarray:
+        """Nodal density of mass `strength` at pos, split linearly over the
+        two bracketing nodes (hat weights), on all n + 1 nodes."""
+        p = np.zeros(self.n + 1)
+        j = min(int(pos / self.dx), self.n - 1)
+        theta = pos / self.dx - j
+        for node, w in ((j, 1 - theta), (j + 1, theta)):
+            p[node] += strength * w / self.h[node]
+        return p
+
     def full(self, u: np.ndarray) -> np.ndarray:
         p = np.zeros(self.n + 1)
-        p[self.i0 : self.i1 + 1] = u
+        p[self.unknowns] = u
         return p
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(-A)^-1 rhs on the unknown nodes, returned on all nodes."""
+        try:
+            u = solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
+        except SingularSystemError as exc:  # pragma: no cover - valid problems are nonsingular
+            raise AccuracyError(f"tridiagonal solve failed: {exc}") from exc
+        return self.full(u)
 
     def survival(self, p: np.ndarray) -> float:
         return float(np.dot(self.h, p))
@@ -171,12 +192,8 @@ class _Discretization:
         return -self.D * dpdx + self.a * p
 
     def initial_vector(self, ic: InitialCondition) -> np.ndarray:
-        p = np.zeros(self.n + 1)
         if ic.kind is InitialKind.POINT:
-            j = min(int(ic.y / self.dx), self.n - 1)
-            theta = ic.y / self.dx - j
-            p[j] = (1 - theta) / self.h[j]
-            p[j + 1] = theta / self.h[j + 1]
+            p = self.point_mass(ic.y)
         else:
             vals = np.asarray(ic.grid_values, dtype=float)
             xi = np.linspace(0.0, self.L, vals.size)
@@ -208,7 +225,7 @@ def evolve(
     m2_up = dt / 2 * disc.upper
 
     p = disc.initial_vector(ic)
-    u = p[disc.i0 : disc.i1 + 1].copy()
+    u = p[disc.unknowns].copy()
 
     times = np.empty(n_steps + 1)
     surv = np.empty(n_steps + 1)
@@ -250,16 +267,17 @@ def split_statistics(
     killing: KillingMeasure,
     ic: InitialCondition,
     grid: GridSpec,
-    tail_threshold: float = 0.01,
 ) -> SplitStatistics:
     """Absorbed/killed split probabilities, conditional mean times and the
-    absorbed-to-killed ratio, by time quadrature of the evolution.
+    absorbed-to-killed ratio: the exact infinite-horizon sums of the
+    Crank-Nicolson scheme that `evolve` steps.
 
-    The time integrals use the Crank-Nicolson midpoint rates, for which the
-    discrete balance p_killed + p_absorbed + S(t_max) = 1 is exact; the mass
-    left at t_max (required < tail_threshold) is attributed to the two fates
-    in proportion to the terminal rates, with times extrapolated from the
-    spectral decay rate."""
+    With u_n the CN iterates, the midpoint sums sum dt (u_{n-1} + u_n)/2 and
+    sum (n - 1/2) dt dt (u_{n-1} + u_n)/2 telescope to y1 = (-A)^-1 u0 and
+    y2 = (-A)^-1 y1 for every dt, so only grid.cell_count matters; dt and
+    t_max do not.  The kill and absorption rates of y1 give the split
+    probabilities, those of y2 the time moments; p_killed + p_absorbed =
+    S(0) holds to round-off and is normalized to 1."""
     require_valid(model, killing, ic)
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
@@ -269,62 +287,17 @@ def split_statistics(
         raise ValueError("split statistics are defined for problems without injection")
 
     disc = _Discretization(model, killing, grid.cell_count)
-    dt = grid.dt
-    n_steps = max(1, int(round(grid.t_max / dt)))
-    m1 = banded_form(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
-    m2_di = 1 + dt / 2 * disc.diag
-    m2_lo = dt / 2 * disc.lower
-    m2_up = dt / 2 * disc.upper
+    p0 = disc.initial_vector(ic)
+    y1 = disc.solve(p0[disc.unknowns])
+    y2 = disc.solve(y1[disc.unknowns])
 
-    p = disc.initial_vector(ic)
-    u = p[disc.i0 : disc.i1 + 1].copy()
-    s0 = disc.survival(p)
-
-    p_killed = 0.0
-    p_absorbed = 0.0
-    t_killed = 0.0
-    t_absorbed = 0.0
-    for step in range(1, n_steps + 1):
-        rhs = m2_di * u + dt * disc.source
-        rhs[:-1] += m2_up * u[1:]
-        rhs[1:] += m2_lo * u[:-1]
-        u_new = solve_banded((1, 1), m1, rhs, check_finite=False)
-        p_mid = disc.full((u + u_new) / 2)
-        kr = disc.kill_rate(p_mid)
-        ar = disc.absorbed_rate(p_mid)
-        t_mid = (step - 0.5) * dt
-        p_killed += dt * kr
-        p_absorbed += dt * ar
-        t_killed += dt * t_mid * kr
-        t_absorbed += dt * t_mid * ar
-        u = u_new
-
-    p_end = disc.full(u)
-    s_end = disc.survival(p_end)
-    if s_end > tail_threshold:
-        raise AccuracyError(
-            f"mass {s_end:.3g} left at t_max={grid.t_max}; increase t_max "
-            f"(tail threshold {tail_threshold})"
-        )
-    if s_end > 0:
-        lam = decay_rate(model, killing, grid.cell_count)
-        kr = disc.kill_rate(p_end)
-        ar = disc.absorbed_rate(p_end)
-        total = kr + ar
-        fk = kr / total if total > 0 else (0.0 if has_absorbing else 1.0)
-        mean_tail = grid.t_max + 1.0 / lam
-        p_killed += s_end * fk
-        p_absorbed += s_end * (1 - fk)
-        t_killed += s_end * fk * mean_tail
-        t_absorbed += s_end * (1 - fk) * mean_tail
-
-    # normalize away any initial-hat mass defect; the discrete balance
-    # p_killed + p_absorbed = S(0) is exact, so this pins the sum to 1
-    if s0 > 0:
-        p_killed /= s0
-        p_absorbed /= s0
-        t_killed /= s0
-        t_absorbed /= s0
+    # normalize away any initial-hat mass defect
+    s0 = disc.survival(p0)
+    norm = s0 if s0 > 0 else 1.0
+    p_killed = disc.kill_rate(y1) / norm
+    p_absorbed = disc.absorbed_rate(y1) / norm
+    t_killed = disc.kill_rate(y2) / norm
+    t_absorbed = disc.absorbed_rate(y2) / norm
 
     mean_kill = t_killed / p_killed if p_killed > 0 else math.nan
     mean_abs = t_absorbed / p_absorbed if p_absorbed > 0 else math.nan
@@ -343,11 +316,7 @@ def steady_state(
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
         raise ValueError("steady state needs exactly one injection and one absorbing end")
     disc = _Discretization(model, killing, grid.cell_count)
-    try:
-        u = solve_tridiagonal(-disc.lower, -disc.diag, -disc.upper, disc.source)
-    except SingularSystemError as exc:  # pragma: no cover - valid problems are nonsingular
-        raise AccuracyError(f"steady-state solve failed: {exc}") from exc
-    p = disc.full(u)
+    p = disc.solve(disc.source)
     injected = dom.left.phi if dom.left.kind is BoundaryKind.INJECTION else dom.right.phi
     absorbed = disc.absorbed_rate(p)
     kill = disc.kill_rate(p)
@@ -370,14 +339,7 @@ def green_steady(
     if not (0 < source < dom.length):
         raise ValueError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
-    s = np.zeros(disc.m)
-    j = min(int(source / disc.dx), disc.n - 1)
-    theta = source / disc.dx - j
-    for node, w in ((j, 1 - theta), (j + 1, theta)):
-        if disc.i0 <= node <= disc.i1:
-            s[node - disc.i0] += w / disc.h[node]
-    u = solve_tridiagonal(-disc.lower, -disc.diag, -disc.upper, s)
-    g = disc.full(u)
+    g = disc.solve(disc.point_mass(source)[disc.unknowns])
     absorbed = disc.absorbed_rate(g)
     kill = disc.kill_rate(g)
     ratio = absorbed / kill if kill > 0 else math.inf

@@ -20,18 +20,6 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    absolute: float = 1e-10
-    relative: float = 1e-10
-
-    def __post_init__(self):
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.absolute == 0 and self.relative == 0:
-            raise ValueError("absolute and relative tolerance cannot both be zero")
-
-
-@dataclass(frozen=True)
 class SeriesControl:
     max_terms: int = 100_000_000
     tail_tolerance: float = 1e-10

@@ -230,3 +230,16 @@ def test_analytic_subcommand_no_closed_form_errors(tmp_path, capsys):
     )
     assert main(["analytic", path]) == 2
     assert "no closed form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "-2"])
+@pytest.mark.parametrize("command", ["split", "crosscheck"])
+def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, value, command):
+    monkeypatch.setenv("KILLDIFF_WORKERS", value)
+    argv = ["--out", str(tmp_path / "out"), command]
+    if command == "split":
+        argv += [write(tmp_path, MINIMAL), "--method", "pde"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: KILLDIFF_WORKERS")
+    assert value in err

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from killdiff import analytic, fpe
+from killdiff import analytic, crosscheck, fpe
 from killdiff.analytic import PI
 from killdiff.fpe import GridSpec
 from killdiff.model import InitialCondition, KillingMeasure, interval
-from killdiff.numerics import AccuracyError
 
 
 def test_grid_spec_validation():
@@ -89,11 +88,34 @@ def test_split_statistics_matches_closed_form_dirac():
     assert stats.mean_kill_time == pytest.approx(mfpt.derived_value, abs=2e-3)
 
 
-def test_split_statistics_rejects_short_horizon():
-    with pytest.raises(AccuracyError, match="t_max"):
-        fpe.split_statistics(
-            interval(PI), KillingMeasure.zero(), InitialCondition.point(PI / 2), GridSpec(100, 1e-3, 0.5)
-        )
+def test_split_statistics_is_the_infinite_horizon_sum_of_the_scheme():
+    model = interval(PI)
+    killing = KillingMeasure.dirac([(2.0, 1.0)])
+    ic = InitialCondition.point(1.0)
+    # exact for every dt and independent of the horizon
+    splits = {
+        (dt, t_max): fpe.split_statistics(model, killing, ic, GridSpec(100, dt, t_max))
+        for dt in (5e-3, 5e-2, 0.5)
+        for t_max in (0.5, 16.0)
+    }
+    assert len(set(splits.values())) == 1
+    stats = splits[5e-3, 16.0]
+
+    # the stepped scheme stays the reference: trapezoid sums of its rates
+    # over a horizon that leaves no mass behind
+    dt = 1e-2
+    s = fpe.evolve(model, killing, ic, GridSpec(100, dt, 30.0)).series
+    assert s.survival[-1] < 1e-12
+    assert stats.p_killed == pytest.approx(np.trapezoid(s.kill_rate, dx=dt), abs=1e-11)
+    assert stats.p_absorbed == pytest.approx(np.trapezoid(s.boundary_flux, dx=dt), abs=1e-11)
+
+
+def test_split_statistics_wide_interval_absorb_time():
+    # the few absorbed particles leave late, long after most are killed;
+    # the stepped scheme needs t_max = 60 to reach this value
+    sc = next(s for s in crosscheck.default_matrix(0) if s.name == "uniform-wide")
+    stats = fpe.split_statistics(sc.model, sc.killing, InitialCondition.point(sc.y), sc.grid)
+    assert stats.mean_absorb_time == pytest.approx(9.98752, abs=1e-5)
 
 
 def test_split_statistics_rejects_injection():

@@ -8,18 +8,12 @@ from killdiff.numerics import (
     AccuracyError,
     SeriesControl,
     SingularSystemError,
-    Tolerance,
     banded_form,
     derivative_at_zero,
     invert_laplace,
     solve_tridiagonal,
     sum_with_tail_bound,
 )
-
-
-def test_tolerance_rejects_double_zero():
-    with pytest.raises(ValueError):
-        Tolerance(absolute=0.0, relative=0.0)
 
 
 def test_series_control_validation():
