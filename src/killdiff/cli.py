@@ -34,8 +34,9 @@ CSV schemas (stable):
                    sigma,tol,passed,acceptance,note
 
 Exit codes: 0 success, 1 failed acceptance row in `crosscheck`, 2 config or
-usage error.  Identical invocations with identical seeds and worker counts
-produce byte-identical output files.
+usage error, including a grid too coarse for the drift (cell Peclet number
+|drift|*dx/(2d) not below 1).  Identical invocations with identical seeds
+and worker counts produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, crosscheck, fpe, montecarlo
-from .fpe import GridSpec
+from .fpe import GridResolutionError, GridSpec
 from .model import (
     BoundaryKind,
     DiffusionModel,
@@ -484,13 +485,16 @@ def _cmd_sweep(args) -> int:
         report = validate_problem(sub.model, sub.killing, ic)
         if not report.ok:
             raise ConfigError(f"{args.param}={v}: " + "; ".join(report.violations))
-        if steady:
-            sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
-            rows.append((args.param, v, "ratio_rs", "pde", sol.ratio_rs))
-        else:
-            for m, s in _split_rows(sub):
-                rows.append((args.param, v, "ratio_rinf", m, s.ratio_rinf))
-                rows.append((args.param, v, "p_killed", m, s.p_killed))
+        try:
+            if steady:
+                sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
+                rows.append((args.param, v, "ratio_rs", "pde", sol.ratio_rs))
+            else:
+                for m, s in _split_rows(sub):
+                    rows.append((args.param, v, "ratio_rinf", m, s.ratio_rinf))
+                    rows.append((args.param, v, "p_killed", m, s.p_killed))
+        except GridResolutionError as exc:
+            raise ConfigError(f"{args.param}={v}: {exc}") from exc
     _write_rows(
         _out_path(cfg.out_dir, args, "sweep.csv"),
         "param,value,observable,method,result",
@@ -567,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GridResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

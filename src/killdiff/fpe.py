@@ -6,9 +6,18 @@ time with the killing rate folded implicitly into the diagonal.  Point
 killings and point sources are split position-weighted across the two
 bracketing nodes.  The scheme's discrete conservation identity
 dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes the
-absorbed/killed bookkeeping in `split_statistics` exact.
+absorbed/killed bookkeeping in `split_statistics` exact.  The central drift
+flux needs a cell Peclet number |a| dx / (2D) below 1; coarser grids are
+refused with `GridResolutionError`.
 
-`evolve` steps the scheme in time.  `split_statistics` does not: the
+Below that bound a diagonal similarity S makes the operator A symmetric,
+and a Crank-Nicolson step multiplies eigenmode j by
+r_j = (1 + dt lam_j/2) / (1 - dt lam_j/2).  `evolve` uses this: survival,
+kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed for all
+steps at once.  Strong drift makes S far from the identity and those sums
+cancel; where their round-off bound is too large, `evolve` steps the
+scheme, one banded solve per step.  `decay_rate` is the top eigenvalue of
+the same symmetric form.  `split_statistics` does not step either: the
 Crank-Nicolson midpoint sums over an infinite horizon are, for every dt,
 (-A)^-1 u0 and A^-2 u0, so the split is two tridiagonal solves and is the
 exact infinite-horizon sum of the stepped scheme.
@@ -16,12 +25,14 @@ exact infinite-horizon sum of the stepped scheme.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dstein
 
 from .model import (
     BoundaryKind,
@@ -34,6 +45,22 @@ from .model import (
     require_valid,
 )
 from .numerics import AccuracyError, SingularSystemError, banded_form, solve_tridiagonal
+
+_log = logging.getLogger("killdiff")
+
+# eigenvectors per inverse-iteration call: no m x m array is ever formed
+_EIG_BLOCK = 64
+# steps per table product when summing the modes
+_CHUNK = 128
+# the spectral route runs when its round-off bound is at most this times S(0)
+_SPECTRAL_ROUNDOFF = 1e-10
+# widest log-range of the similarity that keeps S, S^-1 and the mode weights
+# finite; sums over so non-normal an operator would fail the bound anyway
+_MAX_LOG_SIMILARITY = 600.0
+
+
+class GridResolutionError(ValueError):
+    """The grid is too coarse for the problem."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +99,9 @@ class FpeResult:
     series: ObservableSeries
     frames: Tuple[DensityFrame, ...]
     final_density: np.ndarray
+    route: str  # "spectral" (eigenbasis propagation) or "stepped"
+    roundoff_bound: float  # of the spectral sums; inf when they cannot be formed
+    cell_peclet: float  # |a| dx / (2 D)
 
 
 @dataclass(frozen=True)
@@ -96,6 +126,15 @@ class _Discretization:
         self.right_kind = dom.right.kind
         self.D = model.diffusion
         self.a = model.drift
+        # central drift fluxes keep lower * upper > 0 (an M-matrix with a
+        # symmetrizing similarity) only below cell Peclet 1
+        self.peclet = abs(self.a) * self.dx / (2 * self.D)
+        if self.peclet >= 1:
+            need = math.floor(abs(self.a) * self.L / (2 * self.D)) + 1
+            raise GridResolutionError(
+                f"cell Peclet number |a|*dx/(2D) = {self.peclet:.4g} is not below 1 "
+                f"with {n_cells} cells; drift {self.a:g} needs at least {need} cells"
+            )
 
         # trapezoid / finite-volume node weights
         self.h = np.full(n_cells + 1, self.dx)
@@ -141,6 +180,25 @@ class _Discretization:
                     up[r] = (D / dx - a / 2) / dx
             di[r] -= self.k[i]
         self.lower, self.diag, self.upper = lo, di, up
+
+    def symmetric_form(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(e, log s): S A S^-1 with S = diag(s) is the symmetric tridiagonal
+        matrix with diagonal `diag` and off-diagonal e = sqrt(lower * upper)."""
+        e = np.sqrt(self.lower * self.upper)
+        log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(self.upper / self.lower))))
+        return e, log_s
+
+    def observables(self) -> np.ndarray:
+        """3 x m weights of `survival`, `kill_rate` and `absorbed_rate` on the
+        unknown nodes (absorbing nodes hold zero density)."""
+        c = np.zeros((3, self.m))
+        c[0] = self.h[self.unknowns]
+        c[1] = (self.h * self.k)[self.unknowns]
+        if self.left_kind is BoundaryKind.ABSORBING:
+            c[2, 0] = self.D / self.dx - self.a / 2
+        if self.right_kind is BoundaryKind.ABSORBING:
+            c[2, -1] = self.D / self.dx + self.a / 2
+        return c
 
     def point_mass(self, pos: float, strength: float = 1.0) -> np.ndarray:
         """Nodal density of mass `strength` at pos, split linearly over the
@@ -213,53 +271,151 @@ def evolve(
     frame_times: Sequence[float] = (),
 ) -> FpeResult:
     """Crank-Nicolson evolution, returning the observable time series and
-    density frames at the requested times (nearest step)."""
+    density frames at the requested times (nearest step).
+
+    The iterates are propagated in the eigenbasis of the symmetrized
+    operator (`_eigenmodes`, `_mode_sums`).  Where drift makes the operator
+    so far from normal that the a-posteriori round-off bound of those sums
+    exceeds 1e-10 S(0), or an injection problem has no steady state, the
+    scheme is stepped instead (`_step`), one banded solve per step.  Both
+    routes give the iterates of the same scheme; `FpeResult.route` says
+    which one ran."""
     require_valid(model, killing, ic)
     disc = _Discretization(model, killing, grid.cell_count)
     dt = grid.dt
     n_steps = max(1, int(round(grid.t_max / dt)))
+    frame_steps = sorted({min(n_steps, max(0, int(round(t / dt)))) for t in frame_times})
+    keep = sorted(set(frame_steps) | {n_steps})
+    p0 = disc.initial_vector(ic)
 
+    modes = _eigenmodes(disc, p0, dt, keep)
+    bound = modes.bound if modes else math.inf
+    limit = _SPECTRAL_ROUNDOFF * disc.survival(p0)
+    if bound <= limit:
+        route = "spectral"
+        obs = _mode_sums(modes.r, modes.weights, n_steps)
+        obs += modes.steady_observables[:, None]
+        densities = modes.densities
+    else:
+        route = "stepped"
+        _log.debug(
+            "evolve: stepping %d steps on %d cells (spectral round-off bound %.3g > %.3g)",
+            n_steps, disc.n, bound, limit,
+        )
+        obs, densities = _step(disc, p0, dt, n_steps, keep)
+
+    times = np.arange(n_steps + 1) * dt
+    surv, krate, brate = obs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(krate > 0, brate / np.maximum(krate, 1e-300), np.inf)
+    series = ObservableSeries(times, surv, krate, brate, ratio)
+    frames = tuple(
+        DensityFrame(n * dt, disc.x.copy(), densities[n].copy(), disc.nodal_flux(densities[n]))
+        for n in frame_steps
+    )
+    return FpeResult(disc.x, series, frames, densities[n_steps], route, bound, disc.peclet)
+
+
+class _Modes(NamedTuple):
+    r: np.ndarray  # per-step factor of each mode
+    weights: np.ndarray  # m x 3: each mode's share of survival, kill rate, absorbed flux
+    steady_observables: np.ndarray  # the three observables of the steady state
+    densities: Dict[int, np.ndarray]  # full density at each kept step
+    bound: float
+
+
+def _eigenmodes(
+    disc: _Discretization, p0: np.ndarray, dt: float, keep: Sequence[int]
+) -> Optional[_Modes]:
+    """The Crank-Nicolson iterates in the eigenbasis of the symmetrized
+    operator.  With S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the
+    steady state, u_n = u* + S^-1 V diag(r^n) V^T S (u_0 - u*) with
+    r = (1 + dt lam/2) / (1 - dt lam/2), so each observable c.u_n is
+    c.u* + sum_j w_j r_j^n with w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
+
+    The eigenvectors are found in blocks by inverse iteration and never held
+    together.  The round-off of the sums is bounded by eps sum_j |w_j|, the
+    rates' bound scaled by dt to a per-step probability; it is large when
+    drift makes S far from the identity.  None when no similarity is
+    representable, the steady state does not exist or inverse iteration
+    fails."""
+    e, log_s = disc.symmetric_form()
+    if np.ptp(log_s) > _MAX_LOG_SIMILARITY:
+        return None
+    if disc.source.any():
+        if BoundaryKind.ABSORBING not in (disc.left_kind, disc.right_kind) and not disc.k.any():
+            return None  # A is singular: the injected mass grows without bound
+        steady = disc.solve(disc.source)[disc.unknowns]
+    else:
+        steady = np.zeros(disc.m)
+    s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
+    c = disc.observables()
+    lam = eigvalsh_tridiagonal(disc.diag, e)
+    r = (1 + dt / 2 * lam) / (1 - dt / 2 * lam)
+
+    c_s = (c / s).T
+    z_s = s * (p0[disc.unknowns] - steady)
+    powers = np.asarray(keep)
+    c_modes = np.empty((disc.m, 3))
+    z_modes = np.empty(disc.m)
+    z_kept = np.zeros((disc.m, powers.size))
+    # one unreduced block: every off-diagonal of the symmetric form is positive
+    iblock = np.ones(disc.m, dtype=np.int32)
+    isplit = np.full(disc.m, disc.m, dtype=np.int32)
+    for j in range(0, disc.m, _EIG_BLOCK):
+        blk = slice(j, j + _EIG_BLOCK)
+        v, info = dstein(disc.diag, e, lam[blk], iblock, isplit)
+        if info:
+            return None
+        c_modes[blk] = v.T @ c_s
+        z_modes[blk] = v.T @ z_s
+        z_kept += v @ (z_modes[blk, None] * r[blk, None] ** powers)
+    weights = c_modes * z_modes[:, None]
+    bound = float(np.finfo(float).eps * np.max(np.abs(weights).sum(axis=0) * (1.0, dt, dt)))
+    densities = {int(n): disc.full(steady + z_kept[:, i] / s) for i, n in enumerate(powers)}
+    return _Modes(r, weights, c @ steady, densities, bound)
+
+
+def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int) -> np.ndarray:
+    """sum_j weights[j] r_j^n for n = 0..n_steps, one row per column of
+    weights: one (3 x m)(m x chunk) product per chunk of steps against a
+    fixed table of r^k, k < chunk."""
+    table = r[:, None] ** np.arange(_CHUNK)
+    out = np.empty((weights.shape[1], n_steps + 1))
+    for n0 in range(0, n_steps + 1, _CHUNK):
+        n1 = min(n0 + _CHUNK, n_steps + 1)
+        out[:, n0:n1] = (weights * r[:, None] ** n0).T @ table[:, : n1 - n0]
+    return out
+
+
+def _step(
+    disc: _Discretization, p0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int]
+) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    """The Crank-Nicolson step loop: the observables (3 x steps) at every
+    step and the full density at the steps in keep."""
     m1 = banded_form(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     m2_lo = dt / 2 * disc.lower
     m2_di = 1 + dt / 2 * disc.diag
     m2_up = dt / 2 * disc.upper
 
-    p = disc.initial_vector(ic)
+    kept_steps = set(keep)
+    p = p0
     u = p[disc.unknowns].copy()
-
-    times = np.empty(n_steps + 1)
-    surv = np.empty(n_steps + 1)
-    krate = np.empty(n_steps + 1)
-    brate = np.empty(n_steps + 1)
-
-    frame_steps = {min(n_steps, max(0, int(round(t / dt)))) for t in frame_times}
-    frames: List[DensityFrame] = []
-
-    def record(step: int, pfull: np.ndarray) -> None:
-        times[step] = step * dt
-        surv[step] = disc.survival(pfull)
-        krate[step] = disc.kill_rate(pfull)
-        brate[step] = disc.absorbed_rate(pfull)
-        if step in frame_steps:
-            frames.append(
-                DensityFrame(step * dt, disc.x.copy(), pfull.copy(), disc.nodal_flux(pfull))
-            )
-
-    record(0, p)
-    for step in range(1, n_steps + 1):
-        rhs = m2_di * u + dt * disc.source
-        rhs[:-1] += m2_up * u[1:]
-        rhs[1:] += m2_lo * u[:-1]
-        u = solve_banded((1, 1), m1, rhs, check_finite=False)
-        p = disc.full(u)
-        record(step, p)
-        if step % 200 == 0 and not np.all(np.isfinite(u)):
-            raise AccuracyError(f"solution blew up at t={step * dt}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(krate > 0, brate / np.maximum(krate, 1e-300), np.inf)
-    series = ObservableSeries(times, surv, krate, brate, ratio)
-    return FpeResult(disc.x, series, tuple(frames), p)
+    obs = np.empty((3, n_steps + 1))
+    densities: Dict[int, np.ndarray] = {}
+    for step in range(n_steps + 1):
+        if step:
+            rhs = m2_di * u + dt * disc.source
+            rhs[:-1] += m2_up * u[1:]
+            rhs[1:] += m2_lo * u[:-1]
+            u = solve_banded((1, 1), m1, rhs, check_finite=False)
+            p = disc.full(u)
+            if step % 200 == 0 and not np.all(np.isfinite(u)):
+                raise AccuracyError(f"solution blew up at t={step * dt}")
+        obs[:, step] = disc.survival(p), disc.kill_rate(p), disc.absorbed_rate(p)
+        if step in kept_steps:
+            densities[step] = p
+    return obs, densities
 
 
 def split_statistics(
@@ -346,30 +502,20 @@ def green_steady(
     return GreenSteadyResult(disc.x, g, absorbed, kill, ratio)
 
 
-def decay_rate(
-    model: DiffusionModel,
-    killing: KillingMeasure,
-    cell_count: int,
-    rtol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> float:
-    """Leading (smallest) eigenvalue of the discretized -L + k operator, by
-    inverse power iteration; the true asymptotic decay rate of survival."""
+def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) -> float:
+    """Leading (smallest) eigenvalue of the discretized -L + k operator, the
+    top eigenvalue of its symmetric form by bisection; the true asymptotic
+    decay rate of survival."""
     require_valid(model, killing)
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
         raise ValueError("decay rate needs an absorbing boundary or nonzero killing")
     disc = _Discretization(model, killing, cell_count)
-    b_lo, b_di, b_up = -disc.lower, -disc.diag, -disc.upper
-    v = np.sin(np.pi * (np.arange(disc.m) + 1) / (disc.m + 1))  # deterministic start
-    v /= np.linalg.norm(v)
-    lam_old = math.inf
-    for _ in range(max_iter):
-        w = solve_tridiagonal(b_lo, b_di, b_up, v)
-        lam = float(np.dot(w, v) / np.dot(w, w))
-        v = w / np.linalg.norm(w)
-        if abs(lam - lam_old) <= rtol * abs(lam):
-            return lam
-        lam_old = lam
-    raise AccuracyError("inverse power iteration did not converge")
+    e, _ = disc.symmetric_form()
+    # bisection to full relative accuracy needs the smallest tolerance
+    top = eigvalsh_tridiagonal(
+        disc.diag, e, select="i", select_range=(disc.m - 1, disc.m - 1),
+        tol=2 * np.finfo(float).tiny,
+    )
+    return float(-top[0])

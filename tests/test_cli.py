@@ -243,3 +243,18 @@ def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, value, command
     err = capsys.readouterr().err
     assert err.startswith("error: KILLDIFF_WORKERS")
     assert value in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pde"], ["split", "--method", "pde"], ["sweep", "--param", "drift", "--values", "0.5,60"]],
+    ids=["pde", "split", "sweep"],
+)
+def test_grid_too_coarse_for_drift_exits_two(tmp_path, capsys, argv):
+    coarse = MINIMAL.replace("cells = 100", "cells = 16\nmethod = pde")
+    path = write(tmp_path, coarse + "\n[diffusion]\ndrift = 60.0\n")
+    assert main(["--out", str(tmp_path / "out"), argv[0], path] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "cell Peclet number" in err
+    assert ("drift=60.0: " in err) == (argv[0] == "sweep")

@@ -1,12 +1,22 @@
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killdiff import analytic, crosscheck, fpe
 from killdiff.analytic import PI
+from killdiff.cli import parse_config
 from killdiff.fpe import GridSpec
 from killdiff.model import InitialCondition, KillingMeasure, interval
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+DECAYING = (
+    "conditional_mfpt", "convergence_uniform", "dirac_reference", "drift",
+    "free_interval", "green_rinf", "piecewise_rates",
+)
 
 
 def test_grid_spec_validation():
@@ -215,3 +225,139 @@ def test_frames_are_emitted_at_requested_times():
     )
     assert len(res.frames) == 2
     assert [f.time for f in res.frames] == pytest.approx([0.25, 0.5])
+
+
+def stepped_evolve(monkeypatch, *args, **kwargs):
+    """The reference: `evolve` with the spectral route refused, so the
+    scheme is stepped one banded solve at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fpe, "_SPECTRAL_ROUNDOFF", -math.inf)
+        return fpe.evolve(*args, **kwargs)
+
+
+def assert_same_iterates(res, ref):
+    s, r = res.series, ref.series
+    names = ("survival", "kill_rate", "boundary_flux")
+    atol = 1e-9 * max(1.0, *(np.abs(getattr(r, q)).max() for q in names))
+    np.testing.assert_array_equal(s.times, r.times)
+    for q in names:
+        np.testing.assert_allclose(getattr(s, q), getattr(r, q), rtol=0, atol=atol, err_msg=q)
+    assert [f.time for f in res.frames] == [f.time for f in ref.frames]
+    for f, g in zip(res.frames, ref.frames):
+        np.testing.assert_allclose(f.density, g.density, rtol=0, atol=atol)
+    np.testing.assert_allclose(res.final_density, ref.final_density, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("ini", DECAYING + ("steady_uniform", "steady_dirac"))
+def test_spectral_route_reproduces_the_stepped_scheme(ini, monkeypatch):
+    cfg = parse_config(os.path.join(SCENARIOS, f"{ini}.ini"))
+    args = (cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid)
+    frames = [cfg.grid.t_max / 8, cfg.grid.t_max / 2]
+    res = fpe.evolve(*args, frame_times=frames)
+    ref = stepped_evolve(monkeypatch, *args, frame_times=frames)
+    assert (res.route, ref.route) == ("spectral", "stepped")
+    assert res.roundoff_bound <= 1e-10
+    assert_same_iterates(res, ref)
+
+
+@pytest.mark.parametrize("drift, route", [(5.0, "spectral"), (60.0, "stepped")])
+def test_drift_on_each_side_of_the_roundoff_guard(drift, route, monkeypatch, caplog):
+    # the similarity spans exp(|a| L / 2D): strong drift makes the symmetrized
+    # sums cancel, and the bound sends such problems to the step loop
+    args = (
+        interval(1.0, drift=drift), KillingMeasure.uniform(1.0), InitialCondition.point(0.2),
+        GridSpec(400, 1e-3, 1.0),
+    )
+    with caplog.at_level(logging.DEBUG, logger="killdiff"):
+        res = fpe.evolve(*args, frame_times=[0.05])
+    ref = stepped_evolve(monkeypatch, *args, frame_times=[0.05])
+    assert res.route == route
+    assert (res.roundoff_bound <= 1e-10) == (route == "spectral")
+    assert res.cell_peclet == pytest.approx(drift / 800)
+    assert ("stepping" in caplog.text) == (route == "stepped")
+    assert_same_iterates(res, ref)
+
+
+def test_injection_without_steady_state_is_stepped():
+    # reflecting far end and no killing: A is singular and every injected
+    # particle stays, so S grows by phi t
+    res = fpe.evolve(
+        interval(1.0, "reflecting", "injection", phi=0.5), KillingMeasure.zero(),
+        InitialCondition.point(0.3), GridSpec(64, 1e-2, 2.0),
+    )
+    assert res.route == "stepped"
+    assert math.isinf(res.roundoff_bound)
+    s = res.series
+    np.testing.assert_allclose(s.survival, 1 + 0.5 * s.times, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, k, g: fpe.evolve(m, k, InitialCondition.point(0.3), g),
+        lambda m, k, g: fpe.split_statistics(m, k, InitialCondition.point(0.3), g),
+        lambda m, k, g: fpe.steady_state(
+            interval(1.0, "absorbing", "injection", drift=m.drift, phi=1.0), k, g
+        ),
+        lambda m, k, g: fpe.decay_rate(m, k, g.cell_count),
+    ],
+    ids=["evolve", "split_statistics", "steady_state", "decay_rate"],
+)
+def test_cell_peclet_not_below_one_is_refused(call):
+    # central drift fluxes at |a| dx / 2D = 1.875 took evolve's survival to -0.0102
+    with pytest.raises(ValueError, match=r"Peclet number .* = 1\.875 .* at least 31 cells"):
+        call(interval(1.0, drift=60.0), KillingMeasure.uniform(1.0), GridSpec(16, 1e-3, 1.0))
+
+
+def test_cell_peclet_bound_is_strict():
+    # |a| dx / 2D = 32 / 16 / 2 is exactly 1
+    with pytest.raises(fpe.GridResolutionError, match="at least 17 cells"):
+        fpe.decay_rate(interval(1.0, drift=32.0), KillingMeasure.uniform(1.0), 16)
+    assert fpe.decay_rate(interval(1.0, drift=32.0), KillingMeasure.uniform(1.0), 17) > 0
+
+
+@st.composite
+def valid_problems(draw):
+    length = draw(st.floats(0.5, 4.0))
+    diffusion = draw(st.floats(0.2, 2.0))
+    # |a| L / 2D up to 8, so the cell Peclet number stays below 1/2
+    drift = 2 * diffusion * draw(st.floats(-8.0, 8.0)) / length
+    left, right = draw(st.sampled_from([
+        ("absorbing", "absorbing"), ("absorbing", "reflecting"), ("reflecting", "reflecting"),
+        ("injection", "absorbing"), ("reflecting", "injection"),
+    ]))
+    kind = draw(st.sampled_from(["zero", "uniform", "dirac", "piecewise"]))
+    rate = st.floats(0.1, 5.0)
+    if kind == "zero":
+        killing = KillingMeasure.zero()
+    elif kind == "uniform":
+        killing = KillingMeasure.uniform(draw(rate))
+    elif kind == "dirac":
+        killing = KillingMeasure.dirac([(draw(st.floats(0.05, 0.95)) * length, draw(rate))])
+    else:
+        killing = KillingMeasure.piecewise([length / 2], [draw(st.floats(0.0, 5.0)), draw(rate)])
+    model = interval(
+        length, left, right, diffusion=diffusion, drift=drift, phi=draw(st.floats(0.1, 2.0))
+    )
+    dt = draw(st.floats(1e-3, 0.1))
+    grid = GridSpec(draw(st.integers(16, 96)), dt, dt * draw(st.integers(20, 200)))
+    return model, killing, InitialCondition.point(draw(st.floats(0.05, 0.95)) * length), grid
+
+
+@given(valid_problems())
+@settings(max_examples=40, deadline=None)
+def test_crank_nicolson_balance_holds_on_either_route(problem):
+    # S_n - S_(n+1) + dt phi = dt/2 (k_n + b_n + k_(n+1) + b_(n+1)) holds
+    # for the iterates of the scheme, mode by mode; its round-off is that of
+    # terms up to dt |A| times the iterates, or times the spectral sums
+    model, killing, ic, grid = problem
+    res = fpe.evolve(model, killing, ic, grid)
+    s, dt = res.series, grid.dt
+    phi = model.domain.left.phi + model.domain.right.phi
+    rates = s.kill_rate + s.boundary_flux
+    residual = s.survival[:-1] - s.survival[1:] + dt * phi - dt / 2 * (rates[:-1] + rates[1:])
+    norm_a = 2 * np.abs(fpe._Discretization(model, killing, grid.cell_count).diag).max()
+    spectral = res.roundoff_bound if res.route == "spectral" else 0.0
+    eps = np.finfo(float).eps
+    tol = 128 * (1 + dt * norm_a) * (eps * max(1.0, np.abs(s.survival).max()) + spectral)
+    assert np.abs(residual).max() <= tol
