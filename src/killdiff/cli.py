@@ -31,11 +31,19 @@ CSV schemas (stable):
     sweep.csv      param,value,observable,method,result
     histogram.csv  bin_left,bin_right,density
     report.csv     scenario,observable,method_a,value_a,method_b,value_b,
-                   sigma,tol,passed,acceptance,note
+                   sigma,tol,passed,note
 
-Exit codes: 0 success, 1 failed acceptance row in `crosscheck`, 2 config or
-usage error, including a grid too coarse for the drift (cell Peclet number
-|drift|*dx/(2d) not below 1).  Identical invocations with identical seeds
+Every subcommand parses its config, calls the library and writes the
+result.  `analytic` and `split --method analytic` write what
+`crosscheck.closed_forms` returns; closed forms hold only without drift.
+`mc` runs one simulation and takes the survival curve, the kill-location
+histogram (skipped when nothing was killed) and the split from it.
+
+Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
+error, no closed form, or an input the library refuses with a `ValueError`
+(e.g. the wrong ends for `pde --mode steady|green`, or a grid too coarse for
+the drift: cell Peclet number |drift|*dx/(2d) not below 1); `sweep` names
+the swept value that was refused.  Identical invocations with identical seeds
 and worker counts produce byte-identical output files.
 """
 
@@ -49,8 +57,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import analytic, crosscheck, fpe, montecarlo
-from .fpe import GridResolutionError, GridSpec
+from . import crosscheck, fpe, montecarlo
+from .fpe import GridSpec
 from .model import (
     BoundaryKind,
     DiffusionModel,
@@ -59,6 +67,7 @@ from .model import (
     KillingMeasure,
     SplitStatistics,
     interval,
+    require_valid,
     validate_problem,
 )
 from .montecarlo import McConfig
@@ -171,58 +180,6 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
     return ScenarioConfig(model, killing, y, method, grid, mc, out_dir)
 
 
-def render_config(cfg: ScenarioConfig) -> str:
-    """Inverse of parse_config: the rendered text parses back field-exact."""
-    dom = cfg.model.domain
-    lines = [
-        "[domain]",
-        f"length = {dom.length!r}",
-        f"left = {dom.left.kind.value}",
-        f"right = {dom.right.kind.value}",
-    ]
-    phi = dom.left.phi + dom.right.phi
-    if phi:
-        lines.append(f"phi = {phi!r}")
-    lines += [
-        "",
-        "[diffusion]",
-        f"d = {cfg.model.diffusion!r}",
-        f"drift = {cfg.model.drift!r}",
-        "",
-        "[killing]",
-        f"kind = {cfg.killing.kind.value}",
-    ]
-    if cfg.killing.kind is KillingKind.UNIFORM:
-        lines.append(f"v0 = {cfg.killing.v0!r}")
-    elif cfg.killing.kind is KillingKind.DIRAC:
-        lines.append("spots = " + ", ".join(f"{x!r}:{k!r}" for x, k in cfg.killing.spots))
-    elif cfg.killing.kind is KillingKind.PIECEWISE:
-        lines.append("breakpoints = " + " ".join(repr(b) for b in cfg.killing.breakpoints))
-        lines.append("rates = " + " ".join(repr(r) for r in cfg.killing.rates))
-    lines += [
-        "",
-        "[initial]",
-        f"y = {cfg.y!r}",
-        "",
-        "[method]",
-        f"method = {cfg.method}",
-        f"cells = {cfg.grid.cell_count}",
-        f"dt = {cfg.grid.dt!r}",
-        f"t_max = {cfg.grid.t_max!r}",
-        f"mc_dt = {cfg.mc.dt!r}",
-        f"mc_n = {cfg.mc.n_trajectories}",
-        f"mc_seed = {cfg.mc.seed}",
-        f"mc_workers = {cfg.mc.workers}",
-        f"mc_width = {cfg.mc.dirac_width!r}",
-        f"bridge = {'yes' if cfg.mc.bridge_correction else 'no'}",
-        "",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
 # --- output helpers --------------------------------------------------------
 
 def _out_path(cfg_dir: str, args, name: str) -> str:
@@ -235,7 +192,8 @@ def _write_rows(path: str, header: str, rows: Sequence[Sequence[object]]) -> Non
     with open(path, "w", newline="") as f:
         f.write(header + "\n")
         for row in rows:
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            f.write(",".join(cells) + "\n")
     print(f"wrote {path}")
 
 
@@ -270,11 +228,15 @@ def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
     methods = ("analytic", "pde", "mc") if cfg.method == "all" else (cfg.method,)
     for m in methods:
         if m == "analytic":
-            stats = _analytic_split(cfg)
-            if stats is None:
+            forms = crosscheck.closed_forms(cfg.model, cfg.killing, cfg.y)
+            if "p_killed" not in forms:
                 if cfg.method == "analytic":
                     raise ConfigError("no closed-form split statistics for this scenario")
                 continue
+            stats = SplitStatistics(
+                forms["p_killed"], forms["p_absorbed"], forms["mean_kill_time"],
+                math.nan, forms["ratio_rinf"],
+            )
         elif m == "pde":
             stats = fpe.split_statistics(
                 cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid
@@ -285,70 +247,19 @@ def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
     return rows
 
 
-def _analytic_split(cfg: ScenarioConfig) -> Optional[SplitStatistics]:
-    dom = cfg.model.domain
-    kinds = {dom.left.kind, dom.right.kind}
-    if (
-        kinds == {BoundaryKind.ABSORBING}
-        and cfg.killing.kind is KillingKind.DIRAC
-        and len(cfg.killing.spots) == 1
-        and cfg.model.drift == 0
-    ):
-        pk, mk = crosscheck.analytic_split_dirac(cfg.model, cfg.killing, cfg.y)
-        ratio = (1 - pk) / pk if pk > 0 else math.inf
-        return SplitStatistics(pk, 1 - pk, mk, math.nan, ratio)
-    if (
-        kinds == {BoundaryKind.REFLECTING}
-        and cfg.killing.kind is KillingKind.UNIFORM
-        and cfg.model.drift == 0
-    ):
-        return SplitStatistics(1.0, 0.0, 1.0 / cfg.killing.v0, math.nan, 0.0)
-    return None
-
-
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_analytic(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
-    dom = cfg.model.domain
-    kinds = (dom.left.kind, dom.right.kind)
-    rows: List[Tuple[str, float]] = []
-    if kinds.count(BoundaryKind.INJECTION) == 1 and kinds.count(BoundaryKind.ABSORBING) == 1:
-        D, L = cfg.model.diffusion, dom.length
-        if cfg.killing.kind is KillingKind.UNIFORM:
-            rows.append(("ratio_rs", analytic.ratio_rs_uniform(D, cfg.killing.v0, L)))
-        elif cfg.killing.kind is KillingKind.DIRAC and len(cfg.killing.spots) == 1:
-            xs, ks = cfg.killing.spots[0]
-            d_abs = xs if dom.left.kind is BoundaryKind.ABSORBING else L - xs
-            rows.append(("ratio_rs", analytic.ratio_rs_dirac(D, ks, d_abs)))
-    else:
-        stats = _analytic_split(cfg)
-        if stats is not None:
-            rows.append(("p_killed", stats.p_killed))
-            rows.append(("p_absorbed", stats.p_absorbed))
-            rows.append(("mean_kill_time", stats.mean_kill_time))
-            rows.append(("ratio_rinf", stats.ratio_rinf))
-        if (
-            cfg.killing.kind is KillingKind.DIRAC
-            and len(cfg.killing.spots) == 1
-            and cfg.killing.spots[0][0] < cfg.y
-            and set(kinds) == {BoundaryKind.ABSORBING}
-        ):
-            xs, ks = cfg.killing.spots[0]
-            res = analytic.ratio_rinf_dirac_interval(
-                cfg.model.diffusion, ks, dom.length, cfg.y, xs
-            )
-            rows.append(("ratio_rinf_derived", res.derived_value))
-            rows.append(("ratio_rinf_paper", res.paper_value))
-    if not rows:
+    forms = crosscheck.closed_forms(cfg.model, cfg.killing, cfg.y)
+    if not forms:
         raise ConfigError("no closed form applies to this scenario")
-    _write_rows(_out_path(cfg.out_dir, args, "analytic.csv"), "name,value", rows)
+    _write_rows(_out_path(cfg.out_dir, args, "analytic.csv"), "name,value", list(forms.items()))
     return 0
 
 
 def _cmd_pde(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
-    dom = cfg.model.domain
     if args.mode == "steady":
         sol = fpe.steady_state(cfg.model, cfg.killing, cfg.grid)
         _write_rows(
@@ -377,10 +288,7 @@ def _cmd_pde(args) -> int:
     res = fpe.evolve(cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid)
     s = res.series
     stride = max(1, args.stride)
-    rows = [
-        (float(s.times[i]), float(s.survival[i]), 0.0)
-        for i in range(0, s.times.size, stride)
-    ]
+    rows = [(t, sv, 0.0) for t, sv in zip(s.times[::stride], s.survival[::stride])]
     _write_rows(_out_path(cfg.out_dir, args, "survival.csv"), "t,survival,stderr", rows)
     return 0
 
@@ -388,33 +296,23 @@ def _cmd_pde(args) -> int:
 def _cmd_mc(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     out = montecarlo.simulate_outcomes(cfg.model, cfg.killing, cfg.y, cfg.mc)
-    t_hi = float(out.time.max())
-    times = [t_hi * (i + 1) / args.points for i in range(args.points)]
-    import numpy as np
-
-    n = out.n
-    rows = []
-    for t in times:
-        sv = float(np.count_nonzero(out.time > t)) / n
-        rows.append((t, sv, math.sqrt(sv * (1 - sv) / n)))
-    _write_rows(_out_path(cfg.out_dir, args, "survival.csv"), "t,survival,stderr", rows)
-    if args.histogram:
-        pos = out.position[out.killed]
-        if pos.size:
-            density, edges = np.histogram(pos, bins=50, density=True)
-            _write_rows(
-                _out_path(cfg.out_dir, args, "histogram.csv"),
-                "bin_left,bin_right,density",
-                [
-                    (float(edges[i]), float(edges[i + 1]), float(density[i]))
-                    for i in range(density.size)
-                ],
-            )
-    stats = montecarlo.split_from_outcomes(out)
+    times, surv, se = montecarlo.survival_curve(out, args.points)
+    _write_rows(
+        _out_path(cfg.out_dir, args, "survival.csv"),
+        "t,survival,stderr",
+        list(zip(times, surv, se)),
+    )
+    if args.histogram and out.killed.any():
+        edges, density = montecarlo.kill_location_histogram(out, min_events=1)
+        _write_rows(
+            _out_path(cfg.out_dir, args, "histogram.csv"),
+            "bin_left,bin_right,density",
+            list(zip(edges, edges[1:], density)),
+        )
     _write_rows(
         _out_path(cfg.out_dir, args, "split.csv"),
         _SPLIT_HEADER,
-        [_split_row("mc", stats)],
+        [_split_row("mc", montecarlo.split_from_outcomes(out))],
     )
     return 0
 
@@ -480,20 +378,17 @@ def _cmd_sweep(args) -> int:
     steady = (dom.left.kind, dom.right.kind).count(BoundaryKind.INJECTION) == 1
     rows = []
     for v in values:
-        sub = _with_param(cfg, args.param, v)
-        ic = None if steady else InitialCondition.point(sub.y)
-        report = validate_problem(sub.model, sub.killing, ic)
-        if not report.ok:
-            raise ConfigError(f"{args.param}={v}: " + "; ".join(report.violations))
         try:
+            sub = _with_param(cfg, args.param, v)
             if steady:
                 sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
                 rows.append((args.param, v, "ratio_rs", "pde", sol.ratio_rs))
             else:
+                require_valid(sub.model, sub.killing, InitialCondition.point(sub.y))
                 for m, s in _split_rows(sub):
                     rows.append((args.param, v, "ratio_rinf", m, s.ratio_rinf))
                     rows.append((args.param, v, "p_killed", m, s.p_killed))
-        except GridResolutionError as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{args.param}={v}: {exc}") from exc
     _write_rows(
         _out_path(cfg.out_dir, args, "sweep.csv"),
@@ -571,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, GridResolutionError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

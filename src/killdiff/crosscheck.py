@@ -13,6 +13,7 @@ from . import analytic
 from .analytic import PI, UnitScaling
 from .fpe import GridSpec, green_steady, split_statistics, steady_state
 from .model import (
+    BoundaryKind,
     DiffusionModel,
     InitialCondition,
     KillingKind,
@@ -33,7 +34,6 @@ class Scenario:
     grid: GridSpec = GridSpec(200, 2e-3, 12.0)
     mc: McConfig = McConfig(dt=1e-3, n_trajectories=4000)
     mc_bias: float = 0.0  # documented discretization-bias allowance for MC bands
-    acceptance: bool = True
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class Comparison:
     sigma: float
     tol: float
     passed: bool
-    acceptance: bool
     note: str = ""
 
 
@@ -66,7 +65,7 @@ class ComparisonReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows if r.acceptance)
+        return all(r.passed for r in self.rows)
 
     def summary(self) -> str:
         lines = []
@@ -84,13 +83,13 @@ class ComparisonReport:
         with open(path, "w", newline="") as f:
             f.write(
                 "scenario,observable,method_a,value_a,method_b,value_b,"
-                "sigma,tol,passed,acceptance,note\n"
+                "sigma,tol,passed,note\n"
             )
             for r in self.rows:
                 f.write(
                     f"{r.scenario},{r.observable},{r.method_a},{r.value_a!r},"
                     f"{r.method_b},{r.value_b!r},{r.sigma!r},{r.tol!r},"
-                    f"{int(r.passed)},{int(r.acceptance)},{r.note}\n"
+                    f"{int(r.passed)},{r.note}\n"
                 )
 
     def write_discrepancies_csv(self, path: str) -> None:
@@ -109,14 +108,12 @@ def _compare(
     vb: float,
     tol: float,
     sigma: float = 0.0,
-    acceptance: bool = True,
-    note: str = "",
 ) -> Comparison:
     if math.isinf(va) and math.isinf(vb):
         passed = True
     else:
         passed = abs(va - vb) <= tol
-    return Comparison(scenario, observable, a, va, b, vb, sigma, tol, passed, acceptance, note)
+    return Comparison(scenario, observable, a, va, b, vb, sigma, tol, passed)
 
 
 def analytic_split_dirac(
@@ -135,6 +132,53 @@ def analytic_split_dirac(
     p_killed = vu * g_y / (1 + vu * g_xx)
     mfpt = analytic.conditional_mean_kill_time_dirac(yu, x1u, vu)
     return p_killed, sc.from_unit_time(mfpt.derived_value)
+
+
+def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Dict[str, float]:
+    """Every closed-form observable of the problem started at y, by name;
+    empty when none applies.  All of them assume no drift.
+
+    - one injection and one absorbing end, uniform or single point killing:
+      ratio_rs;
+    - both ends absorbing, single point killing: p_killed, p_absorbed,
+      mean_kill_time, ratio_rinf, and with the spot below y also
+      ratio_rinf_derived and the printed ratio_rinf_paper;
+    - both ends reflecting, uniform killing (killing commutes with
+      diffusion): p_killed = 1, p_absorbed = 0, mean_kill_time = 1/v0,
+      ratio_rinf = 0."""
+    if model.drift != 0:
+        return {}
+    dom = model.domain
+    kinds = (dom.left.kind, dom.right.kind)
+    D, L = model.diffusion, dom.length
+    uniform = killing.kind is KillingKind.UNIFORM
+    one_spot = killing.kind is KillingKind.DIRAC and len(killing.spots) == 1
+    if kinds.count(BoundaryKind.INJECTION) == 1 and kinds.count(BoundaryKind.ABSORBING) == 1:
+        if uniform:
+            return {"ratio_rs": analytic.ratio_rs_uniform(D, killing.v0, L)}
+        if one_spot:
+            xs, ks = killing.spots[0]
+            d_abs = xs if dom.left.kind is BoundaryKind.ABSORBING else L - xs
+            return {"ratio_rs": analytic.ratio_rs_dirac(D, ks, d_abs)}
+        return {}
+    if set(kinds) == {BoundaryKind.REFLECTING} and uniform:
+        return {
+            "p_killed": 1.0, "p_absorbed": 0.0,
+            "mean_kill_time": 1.0 / killing.v0, "ratio_rinf": 0.0,
+        }
+    if set(kinds) != {BoundaryKind.ABSORBING} or not one_spot:
+        return {}
+    pk, mk = analytic_split_dirac(model, killing, y)
+    forms = {
+        "p_killed": pk, "p_absorbed": 1 - pk,
+        "mean_kill_time": mk, "ratio_rinf": (1 - pk) / pk if pk > 0 else math.inf,
+    }
+    xs, ks = killing.spots[0]
+    if xs < y:
+        res = analytic.ratio_rinf_dirac_interval(D, ks, L, y, xs)
+        forms["ratio_rinf_derived"] = res.derived_value
+        forms["ratio_rinf_paper"] = res.paper_value
+    return forms
 
 
 def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
@@ -291,37 +335,18 @@ def _run_split(sc: Scenario) -> List[Comparison]:
         tol = max(3 * se + sc.mc_bias * max(1.0, abs(v_pde)), 1e-6)
         rows.append(_compare(sc.name, obs, "pde", v_pde, "mc", v_mc, tol, sigma=se))
 
-    if sc.killing.kind is KillingKind.DIRAC and len(sc.killing.spots) == 1:
-        pk_an, mk_an = analytic_split_dirac(sc.model, sc.killing, sc.y)
+    forms = closed_forms(sc.model, sc.killing, sc.y)
+    if "mean_kill_time" in forms:
+        mk = forms["mean_kill_time"]
+        if sc.killing.kind is KillingKind.DIRAC:
+            pk = forms["p_killed"]
+            rows.append(_compare(sc.name, "p_killed", "analytic", pk, "pde", pde.p_killed, 2e-3))
+            tol = 5e-3 * max(1.0, mk)
+        else:
+            tol = 1e-4  # E[T] = 1/v0 holds exactly on a closed domain
         rows.append(
-            _compare(sc.name, "p_killed", "analytic", pk_an, "pde", pde.p_killed, 2e-3)
+            _compare(sc.name, "mean_kill_time", "analytic", mk, "pde", pde.mean_kill_time, tol)
         )
-        rows.append(
-            _compare(
-                sc.name,
-                "mean_kill_time",
-                "analytic",
-                mk_an,
-                "pde",
-                pde.mean_kill_time,
-                5e-3 * max(1.0, mk_an),
-            )
-        )
-    if sc.killing.kind is KillingKind.UNIFORM and sc.model.drift == 0:
-        kinds = {sc.model.domain.left.kind.value, sc.model.domain.right.kind.value}
-        if kinds == {"reflecting"}:
-            # closed domain: killing commutes with diffusion, E[T] = 1/v0
-            rows.append(
-                _compare(
-                    sc.name,
-                    "mean_kill_time",
-                    "analytic",
-                    1.0 / sc.killing.v0,
-                    "pde",
-                    pde.mean_kill_time,
-                    1e-4,
-                )
-            )
     return rows
 
 
@@ -339,16 +364,7 @@ def _run_steady(sc: Scenario) -> List[Comparison]:
             1e-10,
         )
     )
-    D = sc.model.diffusion
-    L = sc.model.domain.length
-    if sc.killing.kind is KillingKind.DIRAC and len(sc.killing.spots) == 1:
-        xs, ks = sc.killing.spots[0]
-        d_abs = xs if sc.model.domain.left.kind.value == "absorbing" else L - xs
-        ref = analytic.ratio_rs_dirac(D, ks, d_abs)
-    elif sc.killing.kind is KillingKind.UNIFORM:
-        ref = analytic.ratio_rs_uniform(D, sc.killing.v0, L)
-    else:
-        ref = None
+    ref = closed_forms(sc.model, sc.killing, sc.y).get("ratio_rs")
     if ref is not None:
         rows.append(
             _compare(sc.name, "ratio_rs", "analytic", ref, "pde", sol.ratio_rs, 1e-3 * ref)
@@ -390,31 +406,19 @@ def _run_green(sc: Scenario) -> List[Comparison]:
             sigma=mc.ratio_rinf_se,
         )
     )
-    spots = sc.killing.spots
-    if len(spots) == 1 and spots[0][0] < sc.y:
-        res = analytic.ratio_rinf_dirac_interval(
-            sc.model.diffusion, spots[0][1], sc.model.domain.length, sc.y, spots[0][0]
-        )
+    forms = closed_forms(sc.model, sc.killing, sc.y)
+    if "ratio_rinf_derived" in forms:
+        derived = forms["ratio_rinf_derived"]
         rows.append(
             _compare(
-                sc.name,
-                "ratio_rinf",
-                "analytic_derived",
-                res.derived_value,
-                "green_steady",
-                gr.ratio_rinf,
-                1e-3 * res.derived_value,
+                sc.name, "ratio_rinf", "analytic_derived", derived,
+                "green_steady", gr.ratio_rinf, 1e-3 * derived,
             )
         )
         rows.append(
             _compare(
-                sc.name,
-                "paper*derived",
-                "analytic",
-                res.paper_value * res.derived_value,
-                "exact",
-                1.0,
-                1e-9,
+                sc.name, "paper*derived", "analytic", forms["ratio_rinf_paper"] * derived,
+                "exact", 1.0, 1e-9,
             )
         )
     return rows
@@ -487,7 +491,7 @@ def run_matrix(
             rows.append(
                 Comparison(
                     sc.name, "error", "-", math.nan, "-", math.nan, 0.0, 0.0, False,
-                    sc.acceptance, note=f"{type(exc).__name__}: {exc}",
+                    note=f"{type(exc).__name__}: {exc}",
                 )
             )
     return ComparisonReport(tuple(rows), build_discrepancy_table())

@@ -153,32 +153,26 @@ class _Discretization:
         if self.m < 3:
             raise ValueError("grid too coarse for the boundary configuration")
 
+        # interior stencil, then the half-cell row of a reflecting or
+        # injection end: no flux, or the prescribed inward flux as a source
         D, a, dx = self.D, self.a, self.dx
-        lo = np.zeros(self.m - 1)
-        di = np.zeros(self.m)
-        up = np.zeros(self.m - 1)
+        lo = np.full(self.m - 1, (D / dx + a / 2) / dx)
+        di = np.full(self.m, -2 * D / dx**2)
+        up = np.full(self.m - 1, (D / dx - a / 2) / dx)
         self.source = np.zeros(self.m)
-        for r, i in enumerate(range(self.i0, self.i1 + 1)):
-            h = self.h[i]
-            if i == 0:
-                # no flux through the left face (reflecting) or prescribed
-                # inward flux (injection, constant source)
-                di[r] = (-D / dx - a / 2) / h
-                up[r] = (D / dx - a / 2) / h
-                if self.left_kind is BoundaryKind.INJECTION:
-                    self.source[r] = dom.left.phi / h
-            elif i == self.n:
-                di[r] = (-D / dx + a / 2) / h
-                lo[r - 1] = (D / dx + a / 2) / h
-                if self.right_kind is BoundaryKind.INJECTION:
-                    self.source[r] = dom.right.phi / h
-            else:
-                di[r] = -2 * D / dx**2
-                if i - 1 >= self.i0:
-                    lo[r - 1] = (D / dx + a / 2) / dx
-                if i + 1 <= self.i1:
-                    up[r] = (D / dx - a / 2) / dx
-            di[r] -= self.k[i]
+        if self.left_kind is not BoundaryKind.ABSORBING:
+            h = self.h[0]
+            di[0] = (-D / dx - a / 2) / h
+            up[0] = (D / dx - a / 2) / h
+            if self.left_kind is BoundaryKind.INJECTION:
+                self.source[0] = dom.left.phi / h
+        if self.right_kind is not BoundaryKind.ABSORBING:
+            h = self.h[-1]
+            di[-1] = (-D / dx + a / 2) / h
+            lo[-1] = (D / dx + a / 2) / h
+            if self.right_kind is BoundaryKind.INJECTION:
+                self.source[-1] = dom.right.phi / h
+        di -= self.k[self.unknowns]
         self.lower, self.diag, self.upper = lo, di, up
 
     def symmetric_form(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -260,17 +260,9 @@ def simulate_split(
 
 
 def kill_location_histogram(
-    model: DiffusionModel,
-    killing: KillingMeasure,
-    y: float,
-    cfg: McConfig,
-    bins: np.ndarray | int = 50,
-    min_events: int = 100,
+    out: TrajectoryOutcomes, bins: np.ndarray | int = 50, min_events: int = 100
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram (edges, density) of kill positions."""
-    if killing.is_zero:
-        raise ValueError("kill histogram needs a nonzero killing measure")
-    out = simulate_outcomes(model, killing, y, cfg)
+    """Normalized histogram (edges, density) of the kill positions."""
     pos = out.position[out.killed]
     if pos.size < min_events:
         raise AccuracyError(f"only {pos.size} kill events; need at least {min_events}")
@@ -311,15 +303,13 @@ def simulate_rs(
 
 
 def survival_curve(
-    model: DiffusionModel,
-    killing: KillingMeasure,
-    y: float,
-    cfg: McConfig,
-    times: Sequence[float],
+    out: TrajectoryOutcomes, times: Sequence[float] | int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical survivor function of min(T, tau) at the given times,
-    with pointwise binomial standard errors."""
-    out = simulate_outcomes(model, killing, y, cfg)
+    """Empirical survivor function of min(T, tau) at the given times, or at
+    that many evenly spaced times up to the last termination, with
+    pointwise binomial standard errors."""
+    if isinstance(times, int):
+        times = float(out.time.max()) * np.arange(1, times + 1) / times
     times = np.asarray(times, dtype=float)
     n = out.n
     s = np.array([np.count_nonzero(out.time > t) / n for t in times])

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from killdiff.cli import ConfigError, main, parse_config, render_config
+from killdiff import montecarlo
+from killdiff.cli import ConfigError, main, parse_config
 from killdiff.model import BoundaryKind, KillingKind
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -84,26 +85,11 @@ def test_malformed_spot_rejected(tmp_path):
         parse_config(path)
 
 
-def test_render_parse_roundtrip(tmp_path):
-    cfg = parse_config(write(tmp_path, MINIMAL))
-    cfg2 = parse_config(write(tmp_path, render_config(cfg), "rendered.ini"))
-    assert cfg2 == cfg
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "dirac_reference.ini",
-        "steady_uniform.ini",
-        "green_rinf.ini",
-        "piecewise_rates.ini",
-        "drift.ini",
-    ],
-)
-def test_shipped_scenarios_roundtrip(name, tmp_path):
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
+def test_shipped_scenarios_parse(name):
     cfg = parse_config(os.path.join(SCENARIOS, name))
-    cfg2 = parse_config(write(tmp_path, render_config(cfg)))
-    assert cfg2 == cfg
+    assert cfg.grid.cell_count >= 8
+    assert 0 <= cfg.y <= cfg.model.domain.length
 
 
 def test_help_exits_zero(capsys):
@@ -258,3 +244,80 @@ def test_grid_too_coarse_for_drift_exits_two(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert "cell Peclet number" in err
     assert ("drift=60.0: " in err) == (argv[0] == "sweep")
+
+
+@pytest.mark.parametrize(
+    "name,drift", [("steady_uniform.ini", 3.0), ("green_rinf.ini", 1.0)]
+)
+def test_analytic_refuses_drift(tmp_path, capsys, name, drift):
+    text = open(os.path.join(SCENARIOS, name)).read() + f"\n[diffusion]\ndrift = {drift}\n"
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "analytic", write(tmp_path, text)]) == 2
+    assert "no closed form" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REFLECTING_ZERO = """
+[domain]
+length = 1.0
+left = reflecting
+right = reflecting
+
+[killing]
+kind = zero
+
+[initial]
+y = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,ini,message",
+    [
+        (["pde", "--mode", "steady"], "dirac_reference.ini", "one injection and one absorbing"),
+        (["pde", "--mode", "green"], "steady_uniform.ini", "both ends absorbing"),
+        (["split", "--method", "pde"], None, "absorbing boundary or nonzero killing"),
+    ],
+    ids=["pde-steady", "pde-green", "split-pde"],
+)
+def test_refused_input_exits_two(tmp_path, capsys, argv, ini, message):
+    path = os.path.join(SCENARIOS, ini) if ini else write(tmp_path, REFLECTING_ZERO)
+    assert main(["--out", str(tmp_path / "out"), argv[0], path] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_sweep_names_the_value_of_a_refused_input(tmp_path, capsys):
+    text = REFLECTING_ZERO.replace("right = reflecting", "right = injection\nphi = 1.0")
+    path = write(tmp_path, text.replace("kind = zero", "kind = uniform\nv0 = 1.0"))
+    argv = ["sweep", path, "--param", "v0", "--values", "2"]
+    assert main(["--out", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: v0=2.0: ")
+    assert "one injection and one absorbing" in err
+
+
+def test_mc_histogram_from_the_one_simulation(tmp_path, monkeypatch):
+    calls = []
+    simulate = montecarlo.simulate_outcomes
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(montecarlo, "simulate_outcomes", counted)
+    out = tmp_path / "out"
+    assert main(["--seed", "5", "--out", str(out), "mc", write(tmp_path, MINIMAL), "--histogram"]) == 0
+    assert len(calls) == 1
+    hist = (out / "histogram.csv").read_text().splitlines()
+    assert hist[0] == "bin_left,bin_right,density"
+    assert len(hist) == 51
+
+
+def test_mc_histogram_without_kills_is_skipped(tmp_path):
+    path = write(tmp_path, MINIMAL.replace("kind = uniform\nv0 = 1.0", "kind = zero"))
+    out = tmp_path / "out"
+    assert main(["--seed", "5", "--out", str(out), "mc", path, "--histogram"]) == 0
+    assert (out / "survival.csv").exists() and (out / "split.csv").exists()
+    assert not (out / "histogram.csv").exists()

@@ -117,3 +117,34 @@ def test_analytic_split_dirac_requires_single_spot():
         crosscheck.analytic_split_dirac(
             interval(1.0), KillingMeasure.dirac([(0.3, 1.0), (0.6, 1.0)]), 0.5
         )
+
+
+@pytest.mark.parametrize("kind,y", [("split", 0.3), ("green", 0.8)])
+def test_drift_scenario_has_no_analytic_rows(kind, y):
+    sc = Scenario(
+        "drift-spot",
+        kind,
+        interval(1.0, drift=1.0),
+        KillingMeasure.dirac([(0.6, 5.0)]),
+        y=y,
+        grid=GridSpec(100, 1e-3, 1.0),
+        mc=McConfig(dt=1e-3, n_trajectories=200, dirac_width=0.09),
+        mc_bias=0.1,
+    )
+    rows = run_matrix(scenarios=[sc]).rows
+    assert rows and all(r.observable != "error" for r in rows)
+    assert not any("analytic" in r.method_a for r in rows)
+
+
+def test_closed_forms_need_no_drift():
+    model, killing = interval(PI), KillingMeasure.dirac([(2.0, 1.0)])
+    forms = crosscheck.closed_forms(model, killing, 2.5)
+    assert list(forms) == [
+        "p_killed", "p_absorbed", "mean_kill_time", "ratio_rinf",
+        "ratio_rinf_derived", "ratio_rinf_paper",
+    ]
+    assert crosscheck.closed_forms(interval(PI, drift=0.1), killing, 2.5) == {}
+    steady = interval(1.0, "absorbing", "injection", phi=1.0)
+    assert list(crosscheck.closed_forms(steady, KillingMeasure.uniform(4.0), 0.0)) == ["ratio_rs"]
+    drifting = interval(1.0, "absorbing", "injection", drift=3.0, phi=1.0)
+    assert crosscheck.closed_forms(drifting, KillingMeasure.uniform(4.0), 0.0) == {}

@@ -211,6 +211,53 @@ def test_drift_pushes_exit_to_downstream_boundary():
     assert drifted.p_absorbed > sym.p_absorbed
 
 
+ENDS = ("absorbing", "reflecting", "injection")
+
+
+@pytest.mark.parametrize("cells", [8, 9])
+@pytest.mark.parametrize("right", ENDS)
+@pytest.mark.parametrize("left", ENDS)
+def test_operator_is_the_finite_volume_stencil(left, right, cells):
+    D, a, L, phi, xs, ks = 0.7, -1.3, 1.0, 0.4, 0.43, 2.0
+    model = interval(L, left, right, diffusion=D, drift=a, phi=phi)
+    disc = fpe._Discretization(model, KillingMeasure.dirac([(xs, ks)]), cells)
+
+    # node balance h_i dp_i/dt = F_{i-1} - F_i - h_i k_i p_i on all nodes,
+    # F_i = -D (p_{i+1} - p_i)/dx + a (p_i + p_{i+1})/2 the face flux; an
+    # end face carries no flux (reflecting) or phi inward (injection)
+    n, dx = cells, L / cells
+    h = np.full(n + 1, dx)
+    h[0] = h[n] = dx / 2
+    k = np.zeros(n + 1)
+    j = int(xs / dx)
+    theta = xs / dx - j
+    k[j] += ks * (1 - theta) / h[j]
+    k[j + 1] += ks * theta / h[j + 1]
+    full = np.zeros((n + 1, n + 1))
+    source = np.zeros(n + 1)
+    for i in range(n + 1):
+        if i > 0:  # inflow F_{i-1} from the left face
+            full[i, i - 1] += D / dx + a / 2
+            full[i, i] += -D / dx + a / 2
+        elif left == "injection":
+            source[i] += phi
+        if i < n:  # outflow F_i through the right face
+            full[i, i] -= D / dx + a / 2
+            full[i, i + 1] -= -D / dx + a / 2
+        elif right == "injection":
+            source[i] += phi
+        full[i] /= h[i]
+        full[i, i] -= k[i]
+        source[i] /= h[i]
+    lo = 1 if left == "absorbing" else 0
+    hi = n if right == "absorbing" else n + 1
+    expected = full[lo:hi, lo:hi]
+
+    got = np.diag(disc.diag) + np.diag(disc.lower, -1) + np.diag(disc.upper, 1)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+    np.testing.assert_allclose(disc.source, source[lo:hi], rtol=1e-13, atol=0)
+
+
 def test_observable_series_ratio_handles_zero_kill_rate():
     res = fpe.evolve(
         interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0), GridSpec(100, 1e-2, 0.1)

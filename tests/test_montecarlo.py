@@ -107,18 +107,18 @@ def test_max_steps_guard():
 def test_kill_histogram_requires_events():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 0.01)])
+    out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=50, dirac_width=0.09))
     with pytest.raises(AccuracyError, match="kill events"):
-        montecarlo.kill_location_histogram(
-            model, killing, 1.0, cfg(n_trajectories=50, dirac_width=0.09), min_events=100
-        )
+        montecarlo.kill_location_histogram(out, min_events=100)
 
 
 def test_kill_histogram_concentrates_at_spot():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 5.0)])
-    edges, density = montecarlo.kill_location_histogram(
-        model, killing, 1.0, cfg(n_trajectories=4000, dirac_width=0.09), bins=np.linspace(0, PI, 64)
+    out = montecarlo.simulate_outcomes(
+        model, killing, 1.0, cfg(n_trajectories=4000, dirac_width=0.09)
     )
+    edges, density = montecarlo.kill_location_histogram(out, bins=np.linspace(0, PI, 64))
     centers = (edges[:-1] + edges[1:]) / 2
     peak = centers[np.argmax(density)]
     assert abs(peak - 2.0) < 0.1
@@ -140,12 +140,18 @@ def test_simulate_rs_requires_injection_geometry():
 
 def test_survival_curve_monotone_and_bounded():
     model = interval(2.0)
-    times, s, se = montecarlo.survival_curve(
-        model, KillingMeasure.uniform(1.0), 0.7, cfg(), times=[0.1, 0.3, 0.6, 1.0]
-    )
+    out = montecarlo.simulate_outcomes(model, KillingMeasure.uniform(1.0), 0.7, cfg())
+    times, s, se = montecarlo.survival_curve(out, times=[0.1, 0.3, 0.6, 1.0])
     assert np.all(np.diff(s) <= 0)
     assert np.all((s >= 0) & (s <= 1))
     assert np.all(se >= 0)
+
+
+def test_survival_curve_point_count_ends_at_the_last_termination():
+    out = montecarlo.simulate_outcomes(interval(2.0), KillingMeasure.uniform(1.0), 0.7, cfg())
+    times, s, _ = montecarlo.survival_curve(out, 4)
+    assert times.tolist() == [out.time.max() * i / 4 for i in (1, 2, 3, 4)]
+    assert s[-1] == 0.0
 
 
 def test_bridge_correction_shortens_exit_times():
