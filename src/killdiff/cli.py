@@ -40,10 +40,11 @@ result.  `analytic` and `split --method analytic` write what
 histogram (skipped when nothing was killed) and the split from it.
 
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
-error, no closed form, or an input the library refuses with a `ValueError`
-(e.g. the wrong ends for `pde --mode steady|green`, or a grid too coarse for
-the drift: cell Peclet number |drift|*dx/(2d) not below 1); `sweep` names
-the swept value that was refused.  Identical invocations with identical seeds
+error, no closed form, or an input the library refuses with a
+`model.InputError` (e.g. the wrong ends for `pde --mode steady|green`, or a
+grid too coarse for the drift: cell Peclet number |drift|*dx/(2d) not below
+1); `sweep` names the swept value that was refused.  Any other exception is
+a fault and keeps its traceback.  Identical invocations with identical seeds
 and worker counts produce byte-identical output files.
 """
 
@@ -63,6 +64,7 @@ from .model import (
     BoundaryKind,
     DiffusionModel,
     InitialCondition,
+    InputError,
     KillingKind,
     KillingMeasure,
     SplitStatistics,
@@ -388,7 +390,7 @@ def _cmd_sweep(args) -> int:
                 for m, s in _split_rows(sub):
                     rows.append((args.param, v, "ratio_rinf", m, s.ratio_rinf))
                     rows.append((args.param, v, "p_killed", m, s.p_killed))
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, InputError) as exc:
             raise ConfigError(f"{args.param}={v}: {exc}") from exc
     _write_rows(
         _out_path(cfg.out_dir, args, "sweep.csv"),
@@ -466,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ bracketing nodes.  The scheme's discrete conservation identity
 dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes the
 absorbed/killed bookkeeping in `split_statistics` exact.  The central drift
 flux needs a cell Peclet number |a| dx / (2D) below 1; coarser grids are
-refused with `GridResolutionError`.
+refused with `GridResolutionError`, an `InputError`.
 
 Below that bound a diagonal similarity S makes the operator A symmetric,
 and a Crank-Nicolson step multiplies eigenmode j by
@@ -39,6 +39,7 @@ from .model import (
     DiffusionModel,
     InitialCondition,
     InitialKind,
+    InputError,
     KillingMeasure,
     SplitStatistics,
     SteadyStateSolution,
@@ -59,7 +60,7 @@ _SPECTRAL_ROUNDOFF = 1e-10
 _MAX_LOG_SIMILARITY = 600.0
 
 
-class GridResolutionError(ValueError):
+class GridResolutionError(InputError):
     """The grid is too coarse for the problem."""
 
 
@@ -151,7 +152,7 @@ class _Discretization:
         self.unknowns = slice(self.i0, self.i1 + 1)
         self.m = self.i1 - self.i0 + 1
         if self.m < 3:
-            raise ValueError("grid too coarse for the boundary configuration")
+            raise GridResolutionError("grid too coarse for the boundary configuration")
 
         # interior stencil, then the half-cell row of a reflecting or
         # injection end: no flux, or the prescribed inward flux as a source
@@ -432,9 +433,9 @@ def split_statistics(
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
-        raise ValueError("split statistics need an absorbing boundary or nonzero killing")
+        raise InputError("split statistics need an absorbing boundary or nonzero killing")
     if BoundaryKind.INJECTION in (dom.left.kind, dom.right.kind):
-        raise ValueError("split statistics are defined for problems without injection")
+        raise InputError("split statistics are defined for problems without injection")
 
     disc = _Discretization(model, killing, grid.cell_count)
     p0 = disc.initial_vector(ic)
@@ -464,7 +465,7 @@ def steady_state(
     dom = model.domain
     kinds = (dom.left.kind, dom.right.kind)
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
-        raise ValueError("steady state needs exactly one injection and one absorbing end")
+        raise InputError("steady state needs exactly one injection and one absorbing end")
     disc = _Discretization(model, killing, grid.cell_count)
     p = disc.solve(disc.source)
     injected = dom.left.phi if dom.left.kind is BoundaryKind.INJECTION else dom.right.phi
@@ -485,9 +486,9 @@ def green_steady(
     require_valid(model, killing)
     dom = model.domain
     if dom.left.kind is not BoundaryKind.ABSORBING or dom.right.kind is not BoundaryKind.ABSORBING:
-        raise ValueError("green_steady needs both ends absorbing")
+        raise InputError("green_steady needs both ends absorbing")
     if not (0 < source < dom.length):
-        raise ValueError("source must be strictly inside the interval")
+        raise InputError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
     g = disc.solve(disc.point_mass(source)[disc.unknowns])
     absorbed = disc.absorbed_rate(g)
@@ -504,7 +505,7 @@ def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) 
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
-        raise ValueError("decay rate needs an absorbing boundary or nonzero killing")
+        raise InputError("decay rate needs an absorbing boundary or nonzero killing")
     disc = _Discretization(model, killing, cell_count)
     e, _ = disc.symmetric_form()
     # bisection to full relative accuracy needs the smallest tolerance

@@ -18,6 +18,10 @@ import numpy as np
 MASS_TOLERANCE = 1e-9
 
 
+class InputError(ValueError):
+    """A problem, or a problem-method pairing, that the solvers refuse."""
+
+
 class BoundaryKind(Enum):
     ABSORBING = "absorbing"
     REFLECTING = "reflecting"
@@ -240,7 +244,7 @@ def validate_problem(
 def require_valid(model: DiffusionModel, killing: KillingMeasure, ic: Optional[InitialCondition] = None) -> None:
     report = validate_problem(model, killing, ic)
     if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.violations))
+        raise InputError("invalid problem: " + "; ".join(report.violations))
 
 
 def interval(

@@ -15,13 +15,14 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .model import (
     BoundaryKind,
     DiffusionModel,
+    InputError,
     KillingKind,
     KillingMeasure,
     SplitStatistics,
@@ -196,10 +197,10 @@ def simulate_outcomes(
     require_valid(model, killing)
     dom = model.domain
     if not (0 <= y <= dom.length):
-        raise ValueError("start position outside the interval")
+        raise InputError("start position outside the interval")
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
-        raise ValueError("trajectories would never terminate")
+        raise InputError("trajectories would never terminate")
     if killing.kind is KillingKind.DIRAC:
         recommended = 2 * math.sqrt(2 * model.diffusion * cfg.dt)
         if cfg.dirac_width < recommended:
@@ -282,7 +283,7 @@ def simulate_rs(
     dom = model.domain
     kinds = (dom.left.kind, dom.right.kind)
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
-        raise ValueError("R_s simulation needs exactly one injection and one absorbing end")
+        raise InputError("R_s simulation needs exactly one injection and one absorbing end")
     y0 = 0.0 if dom.left.kind is BoundaryKind.INJECTION else dom.length
     # the injection boundary behaves as reflecting for the live particle
     reflect = DiffusionModel(
@@ -303,14 +304,12 @@ def simulate_rs(
 
 
 def survival_curve(
-    out: TrajectoryOutcomes, times: Sequence[float] | int
+    out: TrajectoryOutcomes, points: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical survivor function of min(T, tau) at the given times, or at
-    that many evenly spaced times up to the last termination, with
-    pointwise binomial standard errors."""
-    if isinstance(times, int):
-        times = float(out.time.max()) * np.arange(1, times + 1) / times
-    times = np.asarray(times, dtype=float)
+    """Empirical survivor function of min(T, tau) at `points` evenly spaced
+    times up to the last termination, with pointwise binomial standard
+    errors."""
+    times = float(out.time.max()) * np.arange(1, points + 1) / points
     n = out.n
     s = np.array([np.count_nonzero(out.time > t) / n for t in times])
     se = np.sqrt(s * (1 - s) / n)

@@ -277,8 +277,9 @@ y = 0.5
         (["pde", "--mode", "steady"], "dirac_reference.ini", "one injection and one absorbing"),
         (["pde", "--mode", "green"], "steady_uniform.ini", "both ends absorbing"),
         (["split", "--method", "pde"], None, "absorbing boundary or nonzero killing"),
+        (["mc"], None, "never terminate"),
     ],
-    ids=["pde-steady", "pde-green", "split-pde"],
+    ids=["pde-steady", "pde-green", "split-pde", "mc"],
 )
 def test_refused_input_exits_two(tmp_path, capsys, argv, ini, message):
     path = os.path.join(SCENARIOS, ini) if ini else write(tmp_path, REFLECTING_ZERO)
@@ -286,6 +287,17 @@ def test_refused_input_exits_two(tmp_path, capsys, argv, ini, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # only refused inputs map to exit 2; a fault inside the library surfaces
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("killdiff.crosscheck.closed_forms", broken)
+    path = os.path.join(SCENARIOS, "dirac_reference.ini")
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["--out", str(tmp_path / "out"), "analytic", path])
 
 
 def test_sweep_names_the_value_of_a_refused_input(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_errors_are_recorded_not_raised():
     report = run_matrix(scenarios=[bad])
     assert len(report.rows) == 1
     assert not report.rows[0].passed
-    assert "ValueError" in report.rows[0].note
+    assert "InputError" in report.rows[0].note
 
 
 def test_default_matrix_spans_killing_kinds():

@@ -141,7 +141,7 @@ def test_simulate_rs_requires_injection_geometry():
 def test_survival_curve_monotone_and_bounded():
     model = interval(2.0)
     out = montecarlo.simulate_outcomes(model, KillingMeasure.uniform(1.0), 0.7, cfg())
-    times, s, se = montecarlo.survival_curve(out, times=[0.1, 0.3, 0.6, 1.0])
+    times, s, se = montecarlo.survival_curve(out, 4)
     assert np.all(np.diff(s) <= 0)
     assert np.all((s >= 0) & (s <= 1))
     assert np.all(se >= 0)
@@ -149,7 +149,7 @@ def test_survival_curve_monotone_and_bounded():
 
 def test_survival_curve_point_count_ends_at_the_last_termination():
     out = montecarlo.simulate_outcomes(interval(2.0), KillingMeasure.uniform(1.0), 0.7, cfg())
-    times, s, _ = montecarlo.survival_curve(out, 4)
+    times, s, _ = montecarlo.survival_curve(out, np.int64(4))
     assert times.tolist() == [out.time.max() * i / 4 for i in (1, 2, 3, 4)]
     assert s[-1] == 0.0
 
