@@ -254,6 +254,26 @@ def ratio_rs_uniform(D: float, v0: float, L: float) -> float:
     return 1.0 / (math.cosh(math.sqrt(v0 / D) * L) - 1.0)
 
 
+def absorption_probability_uniform(D: float, v0: float, L: float, y: float) -> float:
+    """Probability that a walker started at y on [0, L], both ends absorbing,
+    is absorbed before a uniform killing at rate v0 takes it:
+    (sinh(c y) + sinh(c (L - y))) / sinh(c L) with c = sqrt(v0/D), each
+    ratio written as exp(a - cL) (1 - exp(-2a)) / (1 - exp(-2cL)) so that
+    no sinh overflows."""
+    if D <= 0 or L <= 0:
+        raise ValueError("D and L must be positive")
+    if v0 <= 0:
+        raise ValueError("v0 must be strictly positive")
+    if not 0 <= y <= L:
+        raise ValueError("y must lie in [0, L]")
+    c = math.sqrt(v0 / D)
+
+    def sinh_ratio(a: float) -> float:
+        return math.exp(a - c * L) * math.expm1(-2 * a) / math.expm1(-2 * c * L)
+
+    return sinh_ratio(c * y) + sinh_ratio(c * (L - y))
+
+
 @dataclass(frozen=True)
 class RinfDiracInterval:
     """Absorbed-to-killed ratio on [0, L], both ends absorbing, source at x1,

@@ -35,7 +35,8 @@ CSV schemas (stable):
 
 Every subcommand parses its config, calls the library and writes the
 result.  `analytic` and `split --method analytic` write what
-`crosscheck.closed_forms` returns; closed forms hold only without drift.
+`crosscheck.closed_forms` returns (the split writes NaN for a mean time it
+has no form for); closed forms hold only without drift.
 `mc` runs one simulation and takes the survival curve, the kill-location
 histogram (skipped when nothing was killed) and the split from it.
 
@@ -236,8 +237,9 @@ def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
                     raise ConfigError("no closed-form split statistics for this scenario")
                 continue
             stats = SplitStatistics(
-                forms["p_killed"], forms["p_absorbed"], forms["mean_kill_time"],
-                math.nan, forms["ratio_rinf"],
+                forms["p_killed"], forms["p_absorbed"],
+                forms.get("mean_kill_time", math.nan),
+                forms.get("mean_absorb_time", math.nan), forms["ratio_rinf"],
             )
         elif m == "pde":
             stats = fpe.split_statistics(

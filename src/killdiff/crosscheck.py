@@ -143,6 +143,10 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
     - both ends absorbing, single point killing: p_killed, p_absorbed,
       mean_kill_time, ratio_rinf, and with the spot below y also
       ratio_rinf_derived and the printed ratio_rinf_paper;
+    - both ends absorbing, no killing: p_killed = 0, p_absorbed = 1, the
+      mean exit time mean_absorb_time = y(L - y)/2D, ratio_rinf = inf;
+    - both ends absorbing, uniform killing: p_killed, p_absorbed =
+      (sinh(cy) + sinh(c(L - y)))/sinh(cL) with c = sqrt(v0/D), ratio_rinf;
     - both ends reflecting, uniform killing (killing commutes with
       diffusion): p_killed = 1, p_absorbed = 0, mean_kill_time = 1/v0,
       ratio_rinf = 0."""
@@ -166,7 +170,20 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
             "p_killed": 1.0, "p_absorbed": 0.0,
             "mean_kill_time": 1.0 / killing.v0, "ratio_rinf": 0.0,
         }
-    if set(kinds) != {BoundaryKind.ABSORBING} or not one_spot:
+    if set(kinds) != {BoundaryKind.ABSORBING}:
+        return {}
+    if killing.is_zero:
+        return {
+            "p_killed": 0.0, "p_absorbed": 1.0,
+            "mean_absorb_time": y * (L - y) / (2 * D), "ratio_rinf": math.inf,
+        }
+    if uniform:
+        pa = analytic.absorption_probability_uniform(D, killing.v0, L, y)
+        pk = 1 - pa
+        return {
+            "p_killed": pk, "p_absorbed": pa, "ratio_rinf": pa / pk if pk > 0 else math.inf,
+        }
+    if not one_spot:
         return {}
     pk, mk = analytic_split_dirac(model, killing, y)
     forms = {
@@ -364,16 +381,22 @@ def _run_steady(sc: Scenario) -> List[Comparison]:
             1e-10,
         )
     )
+    mc_ratio, mc_se = simulate_rs(sc.model, sc.killing, sc.mc)
     ref = closed_forms(sc.model, sc.killing, sc.y).get("ratio_rs")
-    if ref is not None:
+    if ref is None:
+        # no closed form (drift, piecewise or several spots): PDE against MC
+        tol = 3 * mc_se + sc.mc_bias * abs(sol.ratio_rs)
         rows.append(
-            _compare(sc.name, "ratio_rs", "analytic", ref, "pde", sol.ratio_rs, 1e-3 * ref)
+            _compare(sc.name, "ratio_rs", "pde", sol.ratio_rs, "mc", mc_ratio, tol, sigma=mc_se)
         )
-        mc_ratio, mc_se = simulate_rs(sc.model, sc.killing, sc.mc)
-        tol = 3 * mc_se + sc.mc_bias * ref
-        rows.append(
-            _compare(sc.name, "ratio_rs", "analytic", ref, "mc", mc_ratio, tol, sigma=mc_se)
-        )
+        return rows
+    rows.append(
+        _compare(sc.name, "ratio_rs", "analytic", ref, "pde", sol.ratio_rs, 1e-3 * ref)
+    )
+    tol = 3 * mc_se + sc.mc_bias * ref
+    rows.append(
+        _compare(sc.name, "ratio_rs", "analytic", ref, "mc", mc_ratio, tol, sigma=mc_se)
+    )
     return rows
 
 

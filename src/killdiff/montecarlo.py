@@ -7,6 +7,19 @@ uses the exact factor 1 - exp(-k dt).  Worker streams are counter-based
 (Philox keyed by (seed, worker index)) and reduced in worker order, so
 results are bit-identical for a fixed configuration regardless of
 scheduling.
+
+Cost of a step.  A worker moves all its live trajectories one step per loop
+pass.  A pass costs the Philox draws (a uniform per trajectory when there is
+killing, then a normal) plus a fixed number of whole-array NumPy calls: the
+kill test against 1 - exp(-k dt) precomputed once per worker, the move and
+the reflections in place, one exit mask, and the removal of the trajectories
+that ended.  The crosscheck scenarios keep only about 800 trajectories live
+per step, so each call's fixed cost weighs as much as its arithmetic: the
+crosscheck matrix takes about 37 ns per trajectory-step, more than half of
+it the draws (54 ns when every step rebuilt its arrays and its rate field;
+both from `bench/run.py --workload matrix --trace 1`, in reference ns).
+Batching steps or another bit generator would be cheaper, but would change
+every draw.
 """
 
 from __future__ import annotations
@@ -76,20 +89,38 @@ class TrajectoryOutcomes:
         return self.fate == FATE_ABSORBED
 
 
-def _rate_field(killing: KillingMeasure, width: float):
-    """Vectorized killing-rate field with top-hat regularized spots."""
-    if killing.kind is KillingKind.DIRAC:
-        spots = np.array([x for x, _ in killing.spots])
-        heights = np.array([k for _, k in killing.spots]) / width
+def _kill_probability(killing: KillingMeasure, width: float, dt: float):
+    """x -> 1 - exp(-k(x) dt), the probability of a kill in one step from
+    each position in x (a float for uniform killing), with point spots as
+    top-hats of `width`; None without killing.
 
-        def rate(x: np.ndarray) -> np.ndarray:
-            r = np.zeros_like(x)
-            for xs, hgt in zip(spots, heights):
-                r += np.where(np.abs(x - xs) < width / 2, hgt, 0.0)
-            return r
+    Built once per worker.  Each value is NumPy's `-expm1(-k * dt)`, which
+    gives the same bits from a one-element table as from a per-position
+    array (`math.expm1` differs from it in the last bit for some k)."""
+    if killing.kind is KillingKind.ZERO:
+        return None
+    if killing.kind is KillingKind.UNIFORM:
+        p = float(-np.expm1(-np.array([killing.v0]) * dt)[0])
+        return lambda x: p
+    if killing.kind is KillingKind.PIECEWISE:
+        breaks = np.asarray(killing.breakpoints)
+        table = -np.expm1(-np.asarray(killing.rates, dtype=float) * dt)
+        return lambda x: table[np.searchsorted(breaks, x, side="right")]
+    half = width / 2
+    heights = np.array([k for _, k in killing.spots]) / width
+    if len(killing.spots) == 1:
+        xs = killing.spots[0][0]
+        p_spot = -np.expm1(-heights * dt)[0]
+        return lambda x: np.where(np.abs(x - xs) < half, p_spot, 0.0)
+    spots = [xs for xs, _ in killing.spots]
 
-        return rate
-    return killing.smooth_rate
+    def probability(x: np.ndarray) -> np.ndarray:
+        rate = np.zeros_like(x)
+        for xs, hgt in zip(spots, heights):
+            rate += np.where(np.abs(x - xs) < half, hgt, 0.0)
+        return -np.expm1(-rate * dt)
+
+    return probability
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,16 +131,15 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     dom = model.domain
     L = dom.length
     D = model.diffusion
-    a = model.drift
     dt = cfg.dt
     sigma = math.sqrt(2 * D * dt)
-    rate = _rate_field(killing, cfg.dirac_width)
-    has_rate = not killing.is_zero
+    shift = model.drift * dt
+    p_kill = _kill_probability(killing, cfg.dirac_width, dt)
     left_abs = dom.left.kind is BoundaryKind.ABSORBING
     right_abs = dom.right.kind is BoundaryKind.ABSORBING
 
     x = np.full(n, y0, dtype=float)
-    fate = np.empty(n, dtype=np.uint8)
+    fate = np.full(n, FATE_ABSORBED, dtype=np.uint8)
     t_end = np.empty(n, dtype=float)
     x_end = np.empty(n, dtype=float)
     alive = np.arange(n)
@@ -124,11 +154,9 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         step += 1
         t_now = step * dt
 
-        if has_rate:
-            k_here = rate(x)
-            u = rng.random(x.size)
-            killed = u < -np.expm1(-k_here * dt)
-            if np.any(killed):
+        if p_kill is not None:
+            killed = rng.random(x.size) < p_kill(x)
+            if np.count_nonzero(killed):
                 idx = alive[killed]
                 fate[idx] = FATE_KILLED
                 t_end[idx] = t_now
@@ -139,26 +167,30 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 if not alive.size:
                     break
 
-        x_old = x
-        x = x + a * dt + sigma * rng.standard_normal(x.size)
+        # (x + a dt) + sigma z in place; without drift x + 0.0 == x
+        x_old = x.copy() if cfg.bridge_correction else None
+        z = rng.standard_normal(x.size)
+        z *= sigma
+        if shift:
+            x += shift
+        x += z
 
-        done = np.zeros(x.size, dtype=bool)
-        hit_pos = np.empty(x.size, dtype=float)
         if left_abs:
-            hit = x <= 0.0
-            done |= hit
-            hit_pos[hit] = 0.0
+            done = x <= 0.0
         else:
-            x = np.where(x < 0.0, -x, x)
+            np.negative(x, out=x, where=x < 0.0)
         if right_abs:
-            hit = (~done) & (x >= L)
-            done |= hit
-            hit_pos[hit] = L
+            if left_abs:
+                done |= x >= L
+            else:
+                done = x >= L
         else:
-            x = np.where(x > L, 2 * L - x, x)
+            np.subtract(2 * L, x, out=x, where=x > L)
             # a reflected step can only leave [0, L] for absurdly large dt;
             # clamp as a guard
             np.clip(x, 0.0, L, out=x)
+        if not (left_abs or right_abs):
+            continue
 
         if cfg.bridge_correction:
             live = ~done
@@ -167,7 +199,7 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 bridged = rng.random(p_cross.size) < p_cross
                 sel = np.flatnonzero(live)[bridged]
                 done[sel] = True
-                hit_pos[sel] = 0.0
+                x[sel] = 0.0  # the end crossed, read back as the exit position
             live = ~done
             if right_abs and np.any(live):
                 p_cross = np.exp(
@@ -176,13 +208,15 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 bridged = rng.random(p_cross.size) < p_cross
                 sel = np.flatnonzero(live)[bridged]
                 done[sel] = True
-                hit_pos[sel] = L
+                x[sel] = L
 
-        if np.any(done):
+        if np.count_nonzero(done):
             idx = alive[done]
-            fate[idx] = FATE_ABSORBED
             t_end[idx] = t_now
-            x_end[idx] = hit_pos[done]
+            if left_abs and right_abs:
+                x_end[idx] = np.where(x[done] <= 0.0, 0.0, L)
+            else:
+                x_end[idx] = 0.0 if left_abs else L
             keep = ~done
             x = x[keep]
             alive = alive[keep]

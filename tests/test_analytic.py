@@ -215,3 +215,20 @@ def test_unit_scaling_preserves_dimensionless_groups():
 
     # k L / D identical in both -> identical kill probability
     assert pk(1.0, 1.0, 0.6, 0.3, 5.0) == pytest.approx(pk(2.0, 4.0, 0.6, 0.3, 10.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("D,v0,L,y", [(1.0, 1.0, 2.0, 0.7), (0.5, 3.0, 1.0, 0.2), (1.0, 1.0, 40.0, 20.0)])
+def test_absorption_probability_uniform_is_the_sinh_form(D, v0, L, y):
+    c = math.sqrt(v0 / D)
+    sinh_form = (math.sinh(c * y) + math.sinh(c * (L - y))) / math.sinh(c * L)
+    p = analytic.absorption_probability_uniform(D, v0, L, y)
+    assert p == pytest.approx(sinh_form, rel=1e-13)
+    assert p == pytest.approx(analytic.absorption_probability_uniform(D, v0, L, L - y), rel=1e-13)
+
+
+def test_absorption_probability_uniform_past_sinh_overflow():
+    # sinh(c L) overflows at c L = 2000; the probability is exp(-c y) to
+    # within exp(-2 c y) there
+    p = analytic.absorption_probability_uniform(1.0, 1.0, 2000.0, 300.0)
+    assert p == pytest.approx(math.exp(-300.0), rel=1e-12)
+    assert analytic.absorption_probability_uniform(1.0, 1.0, 2.0, 0.0) == 1.0

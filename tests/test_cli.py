@@ -333,3 +333,34 @@ def test_mc_histogram_without_kills_is_skipped(tmp_path):
     assert main(["--seed", "5", "--out", str(out), "mc", path, "--histogram"]) == 0
     assert (out / "survival.csv").exists() and (out / "split.csv").exists()
     assert not (out / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name,keys",
+    [
+        ("free_interval", ["p_killed", "p_absorbed", "mean_absorb_time", "ratio_rinf"]),
+        ("convergence_uniform", ["p_killed", "p_absorbed", "ratio_rinf"]),
+        ("constant_killing_line", ["p_killed", "p_absorbed", "ratio_rinf"]),
+    ],
+)
+def test_analytic_on_absorbing_intervals_without_spots(tmp_path, name, keys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "analytic", os.path.join(SCENARIOS, name + ".ini")]) == 0
+    rows = dict(ln.split(",") for ln in (out / "analytic.csv").read_text().splitlines()[1:])
+    assert list(rows) == keys
+    assert float(rows["p_killed"]) + float(rows["p_absorbed"]) == 1.0
+    if name == "free_interval":
+        y = math.pi / 2
+        assert float(rows["mean_absorb_time"]) == y * (math.pi - y) / 2
+
+
+@pytest.mark.parametrize("name", ["free_interval", "convergence_uniform"])
+def test_split_analytic_writes_nan_for_a_mean_without_a_form(tmp_path, name):
+    out = tmp_path / "out"
+    ini = os.path.join(SCENARIOS, name + ".ini")
+    assert main(["--out", str(out), "split", ini, "--method", "analytic"]) == 0
+    header, row = (out / "split.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["method"] == "analytic"
+    assert values["mean_kill_time"] == "nan"
+    assert (values["mean_absorb_time"] == "nan") == (name != "free_interval")

@@ -3,8 +3,8 @@ import pytest
 from killdiff import crosscheck
 from killdiff.analytic import PI
 from killdiff.crosscheck import Scenario, default_matrix, run_matrix
-from killdiff.fpe import GridSpec
-from killdiff.model import KillingMeasure, interval
+from killdiff.fpe import GridSpec, split_statistics
+from killdiff.model import InitialCondition, KillingMeasure, interval
 from killdiff.montecarlo import McConfig
 
 
@@ -148,3 +148,44 @@ def test_closed_forms_need_no_drift():
     assert list(crosscheck.closed_forms(steady, KillingMeasure.uniform(4.0), 0.0)) == ["ratio_rs"]
     drifting = interval(1.0, "absorbing", "injection", drift=3.0, phi=1.0)
     assert crosscheck.closed_forms(drifting, KillingMeasure.uniform(4.0), 0.0) == {}
+
+
+def test_steady_scenario_without_closed_form_holds_pde_against_mc():
+    sc = Scenario(
+        "steady-drift",
+        "steady",
+        interval(1.0, "absorbing", "injection", drift=1.0, phi=1.0),
+        KillingMeasure.uniform(4.0),
+        grid=GridSpec(400, 1e-3, 1.0),
+        mc=McConfig(dt=5e-4, n_trajectories=2000, seed=1),
+        mc_bias=0.02,
+    )
+    rows = run_matrix(scenarios=[sc]).rows
+    assert [(r.observable, r.method_a, r.method_b) for r in rows] == [
+        ("conservation", "pde", "exact"), ("ratio_rs", "pde", "mc"),
+    ]
+    assert all(r.passed for r in rows)
+    assert rows[1].tol == 3 * rows[1].sigma + 0.02 * abs(rows[1].value_a)
+
+
+@pytest.mark.parametrize(
+    "killing,diffusion,length,y",
+    [
+        (KillingMeasure.zero(), 1.0, PI, 1.0),
+        (KillingMeasure.zero(), 0.4, 2.0, 1.5),
+        (KillingMeasure.uniform(1.0), 1.0, 2.0, 0.7),
+        (KillingMeasure.uniform(3.0), 0.5, 1.0, 0.2),
+    ],
+)
+def test_absorbing_interval_closed_forms_match_the_pde_split(killing, diffusion, length, y):
+    model = interval(length, diffusion=diffusion)
+    forms = crosscheck.closed_forms(model, killing, y)
+    pde = split_statistics(model, killing, InitialCondition.point(y), GridSpec(400, 1e-3, 1.0))
+    assert forms["p_killed"] + forms["p_absorbed"] == 1.0
+    assert forms["p_killed"] == pytest.approx(pde.p_killed, abs=2e-4)
+    assert forms["ratio_rinf"] == pytest.approx(pde.ratio_rinf, rel=1e-3)
+    if killing.is_zero:
+        assert list(forms) == ["p_killed", "p_absorbed", "mean_absorb_time", "ratio_rinf"]
+        assert forms["mean_absorb_time"] == pytest.approx(pde.mean_absorb_time, rel=1e-4)
+    else:
+        assert list(forms) == ["p_killed", "p_absorbed", "ratio_rinf"]
