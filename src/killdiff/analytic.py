@@ -69,7 +69,7 @@ def sine_sum_n4(x: float, y: float) -> float:
     return slope * a - pb * a**3 / (6 * PI)
 
 
-def green_series(x: float, y: float, t: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def green_series(x: float, y: float, t: float) -> float:
     """Heat-kernel eigenfunction series on [0, pi] with absorbing ends, D=1."""
     _check_unit_interval(x, y)
     if t <= 0:
@@ -83,11 +83,11 @@ def green_series(x: float, y: float, t: float, ctl: SeriesControl = DEFAULT_SERI
         lead = (2 / PI) * math.exp(-((n + 1) ** 2) * t)
         return lead / (1.0 - math.exp(-(2 * n + 3) * t))
 
-    value, _ = sum_with_tail_bound(term, tail, ctl)
+    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
     return value
 
 
-def survival_series_free(t: float, y: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def survival_series_free(t: float, y: float) -> float:
     """Survival probability on [0, pi], absorbing ends, no killing, D=1."""
     _check_unit_interval(y)
     if t <= 0:
@@ -102,11 +102,11 @@ def survival_series_free(t: float, y: float, ctl: SeriesControl = DEFAULT_SERIES
         lead = (4 / PI) / m * math.exp(-(m**2) * t)
         return lead / (1.0 - math.exp(-4 * (m + 1) * t))
 
-    value, _ = sum_with_tail_bound(term, tail, ctl)
+    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
     return value
 
 
-def green_laplace_series(x: float, y: float, q: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def green_laplace_series(x: float, y: float, q: float) -> float:
     """Resolvent series (2/pi) sum sin(nx) sin(ny)/(q + n^2), Kummer-accelerated.
 
     The 1/n^2 and 1/n^4 parts are summed in closed form; the residual series
@@ -125,7 +125,7 @@ def green_laplace_series(x: float, y: float, q: float, ctl: SeriesControl = DEFA
     def tail(n):
         return (2 * q * q / PI) / (5 * n**5)
 
-    residual, _ = sum_with_tail_bound(term, tail, ctl)
+    residual, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
     return head + residual
 
 
@@ -150,19 +150,19 @@ def green_laplace_closed(x: float, y: float, q: float) -> float:
     return (math.sinh(s * lo) / s) * (math.sinh(s * (PI - hi)) / math.sinh(s * PI))
 
 
-def green_laplace(x: float, y: float, q: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def green_laplace(x: float, y: float, q: float) -> float:
     """Resolvent with internal series-vs-closed-form consistency check."""
-    series = green_laplace_series(x, y, q, ctl)
+    series = green_laplace_series(x, y, q)
     closed = green_laplace_closed(x, y, q)
     scale = max(abs(closed), 1.0)
-    if abs(series - closed) > max(ctl.tail_tolerance * scale, 1e-12):
+    if abs(series - closed) > max(DEFAULT_SERIES.tail_tolerance * scale, 1e-12):
         raise AccuracyError(
             f"resolvent series {series!r} and closed form {closed!r} disagree beyond tolerance"
         )
     return closed
 
 
-def survival_laplace_free(y: float, q: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def survival_laplace_free(y: float, q: float) -> float:
     """Laplace transform of the free survival probability on [0, pi]:
     (4/pi) sum sin((2n-1)y) / ((2n-1)(q+(2n-1)^2))."""
     _check_unit_interval(y)
@@ -177,24 +177,22 @@ def survival_laplace_free(y: float, q: float, ctl: SeriesControl = DEFAULT_SERIE
         # sum over odd m > 2n-1 of 1/m^3, integral bound
         return (1 / PI) / (2 * n - 1) ** 2
 
-    value, _ = sum_with_tail_bound(term, tail, ctl)
+    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
     return value
 
 
-def survival_laplace_dirac(
-    y: float, q: float, x1: float, V: float, ctl: SeriesControl = DEFAULT_SERIES
-) -> float:
+def survival_laplace_dirac(y: float, q: float, x1: float, V: float) -> float:
     """Laplace-domain survival with a point killing of strength V at x1:
     S0(q|y) - V G(x1,q|y) S0(q|x1) / (1 + V G(x1,q|x1))."""
     _check_unit_interval(y, x1)
     if V < 0:
         raise ValueError("V must be non-negative")
-    s0_y = survival_laplace_free(y, q, ctl)
+    s0_y = survival_laplace_free(y, q)
     if V == 0:
         return s0_y
-    g_xy = green_laplace(x1, y, q, ctl)
-    g_xx = green_laplace(x1, x1, q, ctl)
-    s0_x1 = survival_laplace_free(x1, q, ctl)
+    g_xy = green_laplace(x1, y, q)
+    g_xx = green_laplace(x1, x1, q)
+    s0_x1 = survival_laplace_free(x1, q)
     return s0_y - V * g_xy * s0_x1 / (1 + V * g_xx)
 
 

@@ -40,13 +40,19 @@ has no form for); closed forms hold only without drift.
 `mc` runs one simulation and takes the survival curve, the kill-location
 histogram (skipped when nothing was killed) and the split from it.
 
+`[initial] y` is the point every route starts from; no other initial
+condition exists.  `sweep --param v0` sets uniform killing at each value and
+so refuses a scenario whose killing is dirac or piecewise.  `mc --points`
+and `pde --stride` must be positive integers.
+
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
-error, no closed form, or an input the library refuses with a
-`model.InputError` (e.g. the wrong ends for `pde --mode steady|green`, or a
-grid too coarse for the drift: cell Peclet number |drift|*dx/(2d) not below
-1); `sweep` names the swept value that was refused.  Any other exception is
-a fault and keeps its traceback.  Identical invocations with identical seeds
-and worker counts produce byte-identical output files.
+error (including a count below 1), no closed form, or an input the library
+refuses with a `model.InputError` (e.g. the wrong ends for
+`pde --mode steady|green`, or a grid too coarse for the drift: cell Peclet
+number |drift|*dx/(2d) not below 1); `sweep` names the swept value that was
+refused.  Any other exception is a fault and keeps its traceback.  Identical
+invocations with identical seeds and worker counts produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -291,8 +297,7 @@ def _cmd_pde(args) -> int:
         return 0
     res = fpe.evolve(cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid)
     s = res.series
-    stride = max(1, args.stride)
-    rows = [(t, sv, 0.0) for t, sv in zip(s.times[::stride], s.survival[::stride])]
+    rows = [(t, sv, 0.0) for t, sv in zip(s.times[::args.stride], s.survival[::args.stride])]
     _write_rows(_out_path(cfg.out_dir, args, "survival.csv"), "t,survival,stderr", rows)
     return 0
 
@@ -356,6 +361,8 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
     elif param == "y":
         y = value
     elif param == "v0":
+        if killing.kind not in (KillingKind.ZERO, KillingKind.UNIFORM):
+            raise ConfigError(f"v0 sweep needs zero or uniform killing, not {killing.kind.value}")
         killing = KillingMeasure.uniform(value)
     elif param == "spot_position":
         if killing.kind is not KillingKind.DIRAC or len(killing.spots) != 1:
@@ -416,6 +423,16 @@ def _cmd_crosscheck(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="killdiff",
@@ -436,12 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pde", help="Fokker-Planck solve (evolve, steady or green)")
     p.add_argument("config")
     p.add_argument("--mode", choices=("evolve", "steady", "green"), default="evolve")
-    p.add_argument("--stride", type=int, default=10, help="survival output stride")
+    p.add_argument("--stride", type=_positive_int, default=10, help="survival output stride")
     p.set_defaults(func=_cmd_pde)
 
     p = sub.add_parser("mc", help="Monte Carlo simulation")
     p.add_argument("config")
-    p.add_argument("--points", type=int, default=50, help="survival curve sample count")
+    p.add_argument(
+        "--points", type=_positive_int, default=50, help="survival curve sample count"
+    )
     p.add_argument("--histogram", action="store_true", help="emit kill-location histogram")
     p.set_defaults(func=_cmd_mc)
 

@@ -3,12 +3,16 @@
 Discretization: node-centered finite volumes on [0, L] (half cells at
 reflecting/injection ends), face fluxes J = -D dp/dx + a p, Crank-Nicolson in
 time with the killing rate folded implicitly into the diagonal.  Point
-killings and point sources are split position-weighted across the two
-bracketing nodes.  The scheme's discrete conservation identity
-dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes the
-absorbed/killed bookkeeping in `split_statistics` exact.  The central drift
-flux needs a cell Peclet number |a| dx / (2D) below 1; coarser grids are
-refused with `GridResolutionError`, an `InputError`.
+killings, point sources and the point start are split position-weighted
+across the two bracketing nodes.  States live on the unknown nodes (an
+absorbing end node holds zero) and are padded to all nodes only where a
+density is returned.  Survival, kill rate and absorbed flux are the three
+rows of one weight matrix applied to a state, on every route.  The scheme's
+discrete conservation identity dS/dt = -killRate - boundaryFlux holds to
+round-off, which is what makes the absorbed/killed bookkeeping in
+`split_statistics` exact.  The central drift flux needs a cell Peclet number
+|a| dx / (2D) below 1; coarser grids are refused with `GridResolutionError`,
+an `InputError`.
 
 Below that bound a diagonal similarity S makes the operator A symmetric,
 and a Crank-Nicolson step multiplies eigenmode j by
@@ -38,7 +42,6 @@ from .model import (
     BoundaryKind,
     DiffusionModel,
     InitialCondition,
-    InitialKind,
     InputError,
     KillingMeasure,
     SplitStatistics,
@@ -119,10 +122,10 @@ class _Discretization:
 
     def __init__(self, model: DiffusionModel, killing: KillingMeasure, n_cells: int):
         dom = model.domain
-        self.L = dom.length
+        L = dom.length
         self.n = n_cells
-        self.dx = self.L / n_cells
-        self.x = np.linspace(0.0, self.L, n_cells + 1)
+        self.dx = L / n_cells
+        self.x = np.linspace(0.0, L, n_cells + 1)
         self.left_kind = dom.left.kind
         self.right_kind = dom.right.kind
         self.D = model.diffusion
@@ -131,7 +134,7 @@ class _Discretization:
         # symmetrizing similarity) only below cell Peclet 1
         self.peclet = abs(self.a) * self.dx / (2 * self.D)
         if self.peclet >= 1:
-            need = math.floor(abs(self.a) * self.L / (2 * self.D)) + 1
+            need = math.floor(abs(self.a) * L / (2 * self.D)) + 1
             raise GridResolutionError(
                 f"cell Peclet number |a|*dx/(2D) = {self.peclet:.4g} is not below 1 "
                 f"with {n_cells} cells; drift {self.a:g} needs at least {need} cells"
@@ -161,13 +164,23 @@ class _Discretization:
         di = np.full(self.m, -2 * D / dx**2)
         up = np.full(self.m - 1, (D / dx - a / 2) / dx)
         self.source = np.zeros(self.m)
-        if self.left_kind is not BoundaryKind.ABSORBING:
+        # the observables are weights @ u for u on the unknown nodes:
+        # survival sum h u, kill rate sum h k u, and the outward flux
+        # through the absorbing end faces, whose outer node holds zero
+        self.weights = np.zeros((3, self.m))
+        self.weights[0] = self.h[self.unknowns]
+        self.weights[1] = (self.h * self.k)[self.unknowns]
+        if self.left_kind is BoundaryKind.ABSORBING:
+            self.weights[2, 0] = D / dx - a / 2
+        else:
             h = self.h[0]
             di[0] = (-D / dx - a / 2) / h
             up[0] = (D / dx - a / 2) / h
             if self.left_kind is BoundaryKind.INJECTION:
                 self.source[0] = dom.left.phi / h
-        if self.right_kind is not BoundaryKind.ABSORBING:
+        if self.right_kind is BoundaryKind.ABSORBING:
+            self.weights[2, -1] = D / dx + a / 2
+        else:
             h = self.h[-1]
             di[-1] = (-D / dx + a / 2) / h
             lo[-1] = (D / dx + a / 2) / h
@@ -182,18 +195,6 @@ class _Discretization:
         e = np.sqrt(self.lower * self.upper)
         log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(self.upper / self.lower))))
         return e, log_s
-
-    def observables(self) -> np.ndarray:
-        """3 x m weights of `survival`, `kill_rate` and `absorbed_rate` on the
-        unknown nodes (absorbing nodes hold zero density)."""
-        c = np.zeros((3, self.m))
-        c[0] = self.h[self.unknowns]
-        c[1] = (self.h * self.k)[self.unknowns]
-        if self.left_kind is BoundaryKind.ABSORBING:
-            c[2, 0] = self.D / self.dx - self.a / 2
-        if self.right_kind is BoundaryKind.ABSORBING:
-            c[2, -1] = self.D / self.dx + self.a / 2
-        return c
 
     def point_mass(self, pos: float, strength: float = 1.0) -> np.ndarray:
         """Nodal density of mass `strength` at pos, split linearly over the
@@ -211,51 +212,19 @@ class _Discretization:
         return p
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(-A)^-1 rhs on the unknown nodes, returned on all nodes."""
+        """(-A)^-1 rhs on the unknown nodes."""
         try:
-            u = solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
+            return solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
         except SingularSystemError as exc:  # pragma: no cover - valid problems are nonsingular
             raise AccuracyError(f"tridiagonal solve failed: {exc}") from exc
-        return self.full(u)
-
-    def survival(self, p: np.ndarray) -> float:
-        return float(np.dot(self.h, p))
-
-    def kill_rate(self, p: np.ndarray) -> float:
-        return float(np.dot(self.h * self.k, p))
-
-    def face_flux(self, p: np.ndarray, i: int) -> float:
-        # flux through the face between nodes i and i+1
-        return float(
-            -self.D * (p[i + 1] - p[i]) / self.dx + self.a * (p[i] + p[i + 1]) / 2
-        )
-
-    def absorbed_rate(self, p: np.ndarray) -> float:
-        """Outward flux through the absorbing ends, in the discretely
-        conservative face-flux form."""
-        out = 0.0
-        if self.left_kind is BoundaryKind.ABSORBING:
-            out -= self.face_flux(p, 0)
-        if self.right_kind is BoundaryKind.ABSORBING:
-            out += self.face_flux(p, self.n - 1)
-        return out
 
     def nodal_flux(self, p: np.ndarray) -> np.ndarray:
         dpdx = np.gradient(p, self.dx, edge_order=2)
         return -self.D * dpdx + self.a * p
 
     def initial_vector(self, ic: InitialCondition) -> np.ndarray:
-        if ic.kind is InitialKind.POINT:
-            p = self.point_mass(ic.y)
-        else:
-            vals = np.asarray(ic.grid_values, dtype=float)
-            xi = np.linspace(0.0, self.L, vals.size)
-            p = np.interp(self.x, xi, vals)
-        if self.left_kind is BoundaryKind.ABSORBING:
-            p[0] = 0.0
-        if self.right_kind is BoundaryKind.ABSORBING:
-            p[-1] = 0.0
-        return p
+        """Unit mass at ic.y on the unknown nodes."""
+        return self.point_mass(ic.y)[self.unknowns]
 
 
 def evolve(
@@ -281,29 +250,30 @@ def evolve(
     n_steps = max(1, int(round(grid.t_max / dt)))
     frame_steps = sorted({min(n_steps, max(0, int(round(t / dt)))) for t in frame_times})
     keep = sorted(set(frame_steps) | {n_steps})
-    p0 = disc.initial_vector(ic)
+    u0 = disc.initial_vector(ic)
 
-    modes = _eigenmodes(disc, p0, dt, keep)
+    modes = _eigenmodes(disc, u0, dt, keep)
     bound = modes.bound if modes else math.inf
-    limit = _SPECTRAL_ROUNDOFF * disc.survival(p0)
+    limit = _SPECTRAL_ROUNDOFF * float(disc.weights[0] @ u0)
     if bound <= limit:
         route = "spectral"
         obs = _mode_sums(modes.r, modes.weights, n_steps)
         obs += modes.steady_observables[:, None]
-        densities = modes.densities
+        kept = modes.kept
     else:
         route = "stepped"
         _log.debug(
             "evolve: stepping %d steps on %d cells (spectral round-off bound %.3g > %.3g)",
             n_steps, disc.n, bound, limit,
         )
-        obs, densities = _step(disc, p0, dt, n_steps, keep)
+        obs, kept = _step(disc, u0, dt, n_steps, keep)
 
     times = np.arange(n_steps + 1) * dt
     surv, krate, brate = obs
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(krate > 0, brate / np.maximum(krate, 1e-300), np.inf)
     series = ObservableSeries(times, surv, krate, brate, ratio)
+    densities = {n: disc.full(u) for n, u in kept.items()}
     frames = tuple(
         DensityFrame(n * dt, disc.x.copy(), densities[n].copy(), disc.nodal_flux(densities[n]))
         for n in frame_steps
@@ -315,12 +285,12 @@ class _Modes(NamedTuple):
     r: np.ndarray  # per-step factor of each mode
     weights: np.ndarray  # m x 3: each mode's share of survival, kill rate, absorbed flux
     steady_observables: np.ndarray  # the three observables of the steady state
-    densities: Dict[int, np.ndarray]  # full density at each kept step
+    kept: Dict[int, np.ndarray]  # the iterate at each kept step
     bound: float
 
 
 def _eigenmodes(
-    disc: _Discretization, p0: np.ndarray, dt: float, keep: Sequence[int]
+    disc: _Discretization, u0: np.ndarray, dt: float, keep: Sequence[int]
 ) -> Optional[_Modes]:
     """The Crank-Nicolson iterates in the eigenbasis of the symmetrized
     operator.  With S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the
@@ -340,16 +310,16 @@ def _eigenmodes(
     if disc.source.any():
         if BoundaryKind.ABSORBING not in (disc.left_kind, disc.right_kind) and not disc.k.any():
             return None  # A is singular: the injected mass grows without bound
-        steady = disc.solve(disc.source)[disc.unknowns]
+        steady = disc.solve(disc.source)
     else:
         steady = np.zeros(disc.m)
     s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
-    c = disc.observables()
+    c = disc.weights
     lam = eigvalsh_tridiagonal(disc.diag, e)
     r = (1 + dt / 2 * lam) / (1 - dt / 2 * lam)
 
     c_s = (c / s).T
-    z_s = s * (p0[disc.unknowns] - steady)
+    z_s = s * (u0 - steady)
     powers = np.asarray(keep)
     c_modes = np.empty((disc.m, 3))
     z_modes = np.empty(disc.m)
@@ -367,8 +337,8 @@ def _eigenmodes(
         z_kept += v @ (z_modes[blk, None] * r[blk, None] ** powers)
     weights = c_modes * z_modes[:, None]
     bound = float(np.finfo(float).eps * np.max(np.abs(weights).sum(axis=0) * (1.0, dt, dt)))
-    densities = {int(n): disc.full(steady + z_kept[:, i] / s) for i, n in enumerate(powers)}
-    return _Modes(r, weights, c @ steady, densities, bound)
+    kept = {int(n): steady + z_kept[:, i] / s for i, n in enumerate(powers)}
+    return _Modes(r, weights, c @ steady, kept, bound)
 
 
 def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int) -> np.ndarray:
@@ -384,33 +354,31 @@ def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def _step(
-    disc: _Discretization, p0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int]
+    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int]
 ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """The Crank-Nicolson step loop: the observables (3 x steps) at every
-    step and the full density at the steps in keep."""
+    step and the iterate at the steps in keep."""
     m1 = banded_form(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     m2_lo = dt / 2 * disc.lower
     m2_di = 1 + dt / 2 * disc.diag
     m2_up = dt / 2 * disc.upper
 
     kept_steps = set(keep)
-    p = p0
-    u = p[disc.unknowns].copy()
+    u = u0
     obs = np.empty((3, n_steps + 1))
-    densities: Dict[int, np.ndarray] = {}
+    kept: Dict[int, np.ndarray] = {}
     for step in range(n_steps + 1):
         if step:
             rhs = m2_di * u + dt * disc.source
             rhs[:-1] += m2_up * u[1:]
             rhs[1:] += m2_lo * u[:-1]
             u = solve_banded((1, 1), m1, rhs, check_finite=False)
-            p = disc.full(u)
             if step % 200 == 0 and not np.all(np.isfinite(u)):
                 raise AccuracyError(f"solution blew up at t={step * dt}")
-        obs[:, step] = disc.survival(p), disc.kill_rate(p), disc.absorbed_rate(p)
+        obs[:, step] = disc.weights @ u
         if step in kept_steps:
-            densities[step] = p
-    return obs, densities
+            kept[step] = u
+    return obs, kept
 
 
 def split_statistics(
@@ -438,17 +406,19 @@ def split_statistics(
         raise InputError("split statistics are defined for problems without injection")
 
     disc = _Discretization(model, killing, grid.cell_count)
-    p0 = disc.initial_vector(ic)
-    y1 = disc.solve(p0[disc.unknowns])
-    y2 = disc.solve(y1[disc.unknowns])
+    u0 = disc.initial_vector(ic)
+    y1 = disc.solve(u0)
+    y2 = disc.solve(y1)
+    _, kill1, absorbed1 = (disc.weights @ y1).tolist()
+    _, kill2, absorbed2 = (disc.weights @ y2).tolist()
 
     # normalize away any initial-hat mass defect
-    s0 = disc.survival(p0)
+    s0 = float(disc.weights[0] @ u0)
     norm = s0 if s0 > 0 else 1.0
-    p_killed = disc.kill_rate(y1) / norm
-    p_absorbed = disc.absorbed_rate(y1) / norm
-    t_killed = disc.kill_rate(y2) / norm
-    t_absorbed = disc.absorbed_rate(y2) / norm
+    p_killed = kill1 / norm
+    p_absorbed = absorbed1 / norm
+    t_killed = kill2 / norm
+    t_absorbed = absorbed2 / norm
 
     mean_kill = t_killed / p_killed if p_killed > 0 else math.nan
     mean_abs = t_absorbed / p_absorbed if p_absorbed > 0 else math.nan
@@ -467,12 +437,11 @@ def steady_state(
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
         raise InputError("steady state needs exactly one injection and one absorbing end")
     disc = _Discretization(model, killing, grid.cell_count)
-    p = disc.solve(disc.source)
+    u = disc.solve(disc.source)
     injected = dom.left.phi if dom.left.kind is BoundaryKind.INJECTION else dom.right.phi
-    absorbed = disc.absorbed_rate(p)
-    kill = disc.kill_rate(p)
+    _, kill, absorbed = (disc.weights @ u).tolist()
     ratio = absorbed / kill if kill > 0 else math.inf
-    return SteadyStateSolution(disc.x, p, absorbed, injected, kill, ratio)
+    return SteadyStateSolution(disc.x, disc.full(u), absorbed, injected, kill, ratio)
 
 
 def green_steady(
@@ -491,10 +460,9 @@ def green_steady(
         raise InputError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
     g = disc.solve(disc.point_mass(source)[disc.unknowns])
-    absorbed = disc.absorbed_rate(g)
-    kill = disc.kill_rate(g)
+    _, kill, absorbed = (disc.weights @ g).tolist()
     ratio = absorbed / kill if kill > 0 else math.inf
-    return GreenSteadyResult(disc.x, g, absorbed, kill, ratio)
+    return GreenSteadyResult(disc.x, disc.full(g), absorbed, kill, ratio)
 
 
 def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) -> float:

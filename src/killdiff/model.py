@@ -2,7 +2,7 @@
 
 A problem is an interval with a boundary behavior at each end, a constant
 diffusion coefficient (optionally with constant drift), a killing rate field
-inside the interval, and an initial condition.  All quantities are
+inside the interval, and a start: unit mass at a point y.  All quantities are
 dimensionless; users must supply consistent units (D in length^2/time,
 uniform/piecewise rates in 1/time, point-spot strengths in length/time).
 """
@@ -14,8 +14,6 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-MASS_TOLERANCE = 1e-9
 
 
 class InputError(ValueError):
@@ -112,24 +110,13 @@ class KillingMeasure:
         return np.zeros_like(x)
 
 
-class InitialKind(Enum):
-    POINT = "point"
-    GRID = "grid"
-
-
 @dataclass(frozen=True)
 class InitialCondition:
-    kind: InitialKind
-    y: float = 0.0
-    grid_values: Tuple[float, ...] = ()
+    y: float  # every route starts from a unit point mass at y
 
     @staticmethod
     def point(y: float) -> "InitialCondition":
-        return InitialCondition(InitialKind.POINT, y=y)
-
-    @staticmethod
-    def density_grid(values: Sequence[float]) -> "InitialCondition":
-        return InitialCondition(InitialKind.GRID, grid_values=tuple(float(v) for v in values))
+        return InitialCondition(y)
 
 
 @dataclass(frozen=True)
@@ -223,20 +210,8 @@ def validate_problem(
         if L > 0 and bps and not (0 <= bps[0] and bps[-1] <= L):
             bad.append("piecewise breakpoints must lie inside the interval")
 
-    if ic is not None:
-        if ic.kind is InitialKind.POINT:
-            if L > 0 and not (0 < ic.y < L):
-                bad.append(f"point source at {ic.y} not strictly inside the interval (0, {L})")
-        else:
-            vals = np.asarray(ic.grid_values, dtype=float)
-            if vals.size < 2:
-                bad.append("density grid needs at least two values")
-            if np.any(vals < 0):
-                bad.append("density grid values must be non-negative")
-            elif vals.size >= 2 and L > 0:
-                mass = float(np.trapezoid(vals, dx=L / (vals.size - 1)))
-                if mass > 1 + MASS_TOLERANCE:
-                    bad.append(f"density grid mass {mass:.6g} exceeds 1")
+    if ic is not None and L > 0 and not (0 < ic.y < L):
+        bad.append(f"point source at {ic.y} not strictly inside the interval (0, {L})")
 
     return ValidationReport(tuple(bad))
 

@@ -364,3 +364,27 @@ def test_split_analytic_writes_nan_for_a_mean_without_a_form(tmp_path, name):
     assert values["method"] == "analytic"
     assert values["mean_kill_time"] == "nan"
     assert (values["mean_absorb_time"] == "nan") == (name != "free_interval")
+
+
+@pytest.mark.parametrize("ini,kind", [("dirac_reference.ini", "dirac"), ("piecewise_rates.ini", "piecewise")])
+def test_sweep_v0_refuses_a_killing_it_would_replace(tmp_path, capsys, ini, kind):
+    out = tmp_path / "out"
+    argv = ["sweep", os.path.join(SCENARIOS, ini), "--param", "v0", "--values", "1,2"]
+    assert main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: v0=1.0: ")
+    assert f"not {kind}" in err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mc", "--points", "0"], ["pde", "--stride", "-3"], ["pde", "--stride", "two"]],
+    ids=["points-0", "stride-negative", "stride-text"],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), argv[0], write(tmp_path, MINIMAL)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be a positive integer, got '{argv[2]}'" in err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from killdiff import analytic, crosscheck, fpe
 from killdiff.analytic import PI
@@ -257,6 +257,17 @@ def test_operator_is_the_finite_volume_stencil(left, right, cells):
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
     np.testing.assert_allclose(disc.source, source[lo:hi], rtol=1e-13, atol=0)
 
+    # observable weights on the unknown nodes: survival sum h p, kill rate
+    # sum h k p, and the outward flux -F_0 + F_(n-1) through the absorbing
+    # end faces, whose outer node holds p = 0
+    outward = np.zeros(n + 1)
+    if left == "absorbing":
+        outward[1] = D / dx - a / 2
+    if right == "absorbing":
+        outward[n - 1] = D / dx + a / 2
+    weights = np.array([h, h * k, outward])[:, lo:hi]
+    np.testing.assert_allclose(disc.weights, weights, rtol=1e-13, atol=0)
+
 
 def test_observable_series_ratio_handles_zero_kill_rate():
     res = fpe.evolve(
@@ -408,3 +419,34 @@ def test_crank_nicolson_balance_holds_on_either_route(problem):
     eps = np.finfo(float).eps
     tol = 128 * (1 + dt * norm_a) * (eps * max(1.0, np.abs(s.survival).max()) + spectral)
     assert np.abs(residual).max() <= tol
+
+
+@given(valid_problems())
+@settings(max_examples=40, deadline=None)
+def test_split_is_a_probability_and_the_steady_state_balances(problem):
+    # without injection every particle is killed or absorbed; with one
+    # injection and one absorbing end the injected flux leaves as kill or
+    # absorption.  Either balance is h.(A u + b) = 0 for the solved u, so
+    # its round-off is that of the solve's residual, eps |A| h.u, where
+    # h.u is the mean exit time or the steady mass
+    model, killing, ic, grid = problem
+    kinds = (model.domain.left.kind.value, model.domain.right.kind.value)
+    norm_a = 2 * np.abs(fpe._Discretization(model, killing, grid.cell_count).diag).max()
+    eps = np.finfo(float).eps
+    if "injection" not in kinds:
+        assume("absorbing" in kinds or not killing.is_zero)
+        s = fpe.split_statistics(model, killing, ic, grid)
+        mean_exit = sum(
+            p * t for p, t in ((s.p_killed, s.mean_kill_time), (s.p_absorbed, s.mean_absorb_time))
+            if p > 0
+        )
+        tol = 16 * eps * (1 + norm_a * mean_exit)
+        assert abs(s.p_killed + s.p_absorbed - 1) <= tol
+        assert 0 <= s.p_killed <= 1 + tol
+        assert 0 <= s.p_absorbed <= 1 + tol
+    else:
+        assume("absorbing" in kinds)
+        sol = fpe.steady_state(model, killing, grid)
+        mass = np.trapezoid(sol.density, sol.x)
+        tol = 16 * eps * (sol.injected_flux + norm_a * mass)
+        assert abs(sol.absorbed_flux + sol.kill_integral - sol.injected_flux) <= tol

@@ -69,14 +69,6 @@ def test_point_ic_on_boundary_rejected():
     assert not report.ok
 
 
-def test_density_grid_mass_capped():
-    vals = tuple(np.full(11, 2.0))
-    report = validate_problem(
-        interval(1.0), KillingMeasure.zero(), InitialCondition.density_grid(vals)
-    )
-    assert any("mass" in v for v in report.violations)
-
-
 def test_require_valid_raises_with_all_violations():
     with pytest.raises(ValueError, match="invalid problem"):
         require_valid(interval(-1.0), KillingMeasure.uniform(-1.0))
