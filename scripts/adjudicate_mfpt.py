@@ -38,9 +38,7 @@ def main() -> None:
             if V == 0:
                 continue
             killing = KillingMeasure.dirac([(x1, V)])
-            cfg = montecarlo.McConfig(
-                dt=5e-4, n_trajectories=args.n, seed=args.seed, dirac_width=0.07
-            )
+            cfg = montecarlo.McConfig(dt=2e-3, n_trajectories=args.n, seed=args.seed)
             stats = montecarlo.simulate_split(model, killing, y, cfg)
             dev = (stats.mean_kill_time - oracle) / stats.mean_kill_time_se
             print(

@@ -9,7 +9,7 @@ Scenario configs are INI files with sections:
                  spots = "x:strength, x:strength", breakpoints, rates
     [initial]    y
     [method]     method (analytic|pde|mc|all), cells, dt, t_max,
-                 mc_dt, mc_n, mc_seed, mc_workers, mc_width, bridge
+                 mc_dt, mc_n, mc_seed, mc_workers
     [output]     dir
 
 Unknown sections or keys are rejected.  All quantities are dimensionless;
@@ -42,8 +42,9 @@ histogram (skipped when nothing was killed) and the split from it.
 
 `[initial] y` is the point every route starts from; no other initial
 condition exists.  `sweep --param v0` sets uniform killing at each value and
-so refuses a scenario whose killing is dirac or piecewise.  `mc --points`
-and `pde --stride` must be positive integers.
+so refuses a scenario whose killing is dirac or piecewise; `sweep --param y`
+refuses a steady scenario, whose injected state has no start point.
+`mc --points` and `pde --stride` must be positive integers.
 
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
 error (including a count below 1), no closed form, or an input the library
@@ -92,8 +93,7 @@ _SCHEMA: Dict[str, Tuple[str, ...]] = {
     "killing": ("kind", "v0", "spots", "breakpoints", "rates"),
     "initial": ("y",),
     "method": (
-        "method", "cells", "dt", "t_max",
-        "mc_dt", "mc_n", "mc_seed", "mc_workers", "mc_width", "bridge",
+        "method", "cells", "dt", "t_max", "mc_dt", "mc_n", "mc_seed", "mc_workers",
     ),
     "output": ("dir",),
 }
@@ -178,8 +178,6 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
         n_trajectories=int(m.get("mc_n", 10000)),
         seed=int(m.get("mc_seed", 0)),
         workers=int(m.get("mc_workers", 1)),
-        dirac_width=float(m.get("mc_width", 0.05)),
-        bridge_correction=m.get("bridge", "no").lower() in ("1", "yes", "true", "on"),
     )
     out_dir = cp["output"]["dir"] if "output" in cp and "dir" in cp["output"] else "."
 
@@ -391,6 +389,8 @@ def _cmd_sweep(args) -> int:
     for v in values:
         try:
             sub = _with_param(cfg, args.param, v)
+            if steady and args.param == "y":
+                raise ConfigError("the steady state has no start point to sweep")
             if steady:
                 sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
                 rows.append((args.param, v, "ratio_rs", "pde", sol.ratio_rs))

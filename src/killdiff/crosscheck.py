@@ -200,12 +200,14 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
 
 def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
     """Twelve scenarios spanning zero, uniform, point, two-spot and piecewise
-    killing, steady injection, the steady Green-function ratio, and drift."""
+    killing, steady injection, the steady Green-function ratio, and drift.
 
-    def mc(n=4000, dt=1e-3, eps=0.05, i=0):
-        return McConfig(
-            dt=dt, n_trajectories=n, seed=seed + i, workers=workers, dirac_width=eps
-        )
+    MC records each event at the end of its step, so its mean times sit up
+    to dt/2 high; each scenario's MC dt is at most the seed-0 sigma of its
+    MC mean-time rows."""
+
+    def mc(dt, n=4000, i=0):
+        return McConfig(dt=dt, n_trajectories=n, seed=seed + i, workers=workers)
 
     return [
         Scenario(
@@ -215,7 +217,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.zero(),
             y=PI / 2,
             grid=GridSpec(200, 2e-3, 10.0),
-            mc=mc(i=1),
+            mc=mc(1e-2, i=1),
             mc_bias=0.02,
         ),
         Scenario(
@@ -225,7 +227,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.uniform(1.0),
             y=20.0,
             grid=GridSpec(400, 5e-3, 16.0),
-            mc=mc(i=2),
+            mc=mc(1e-2, i=2),
             mc_bias=0.01,
         ),
         Scenario(
@@ -235,7 +237,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.uniform(1.0),
             y=0.5,
             grid=GridSpec(64, 2e-3, 16.0),
-            mc=mc(i=3),
+            mc=mc(1e-2, i=3),
             mc_bias=0.01,
         ),
         Scenario(
@@ -245,7 +247,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.uniform(1.0),
             y=0.7,
             grid=GridSpec(200, 1e-3, 8.0),
-            mc=mc(i=4),
+            mc=mc(5e-3, i=4),
             mc_bias=0.01,
         ),
         Scenario(
@@ -255,7 +257,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.dirac([(2.0, 1.0)]),
             y=1.0,
             grid=GridSpec(400, 1e-3, 14.0),
-            mc=mc(n=6000, eps=0.09, i=5),
+            mc=mc(1e-2, n=6000, i=5),
             mc_bias=0.02,
         ),
         Scenario(
@@ -265,7 +267,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.dirac([(0.6, 5.0)]),
             y=0.3,
             grid=GridSpec(400, 2e-4, 2.0),
-            mc=mc(n=6000, dt=2e-4, eps=0.04, i=6),
+            mc=mc(1e-3, n=6000, i=6),
             mc_bias=0.02,
         ),
         Scenario(
@@ -275,7 +277,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.dirac([(0.3, 2.0), (0.7, 3.0)]),
             y=0.5,
             grid=GridSpec(400, 2e-4, 2.0),
-            mc=mc(n=6000, dt=2e-4, eps=0.04, i=7),
+            mc=mc(4e-3, n=6000, i=7),
             mc_bias=0.1,
         ),
         Scenario(
@@ -285,7 +287,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.piecewise([0.5], [0.5, 2.0]),
             y=0.4,
             grid=GridSpec(200, 2e-4, 2.0),
-            mc=mc(dt=2e-4, i=8),
+            mc=mc(1e-3, i=8),
             mc_bias=0.01,
         ),
         Scenario(
@@ -294,7 +296,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             interval(1.0, "absorbing", "injection", phi=1.0),
             KillingMeasure.dirac([(0.4, 2.0)]),
             grid=GridSpec(800, 1e-3, 1.0),
-            mc=mc(n=6000, dt=2e-4, eps=0.04, i=9),
+            mc=mc(4e-3, n=6000, i=9),
             mc_bias=0.05,
         ),
         Scenario(
@@ -303,7 +305,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             interval(1.0, "absorbing", "injection", phi=1.0),
             KillingMeasure.uniform(4.0),
             grid=GridSpec(800, 1e-3, 1.0),
-            mc=mc(n=6000, dt=2e-4, i=10),
+            mc=mc(4e-3, n=6000, i=10),
             mc_bias=0.01,
         ),
         Scenario(
@@ -313,7 +315,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.dirac([(0.25, 1.0)]),
             y=0.75,
             grid=GridSpec(800, 1e-4, 1.5),
-            mc=mc(n=20000, dt=1e-4, eps=0.03, i=11),
+            mc=mc(2e-3, n=20000, i=11),
             mc_bias=1.5,
         ),
         Scenario(
@@ -323,7 +325,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             KillingMeasure.uniform(1.0),
             y=0.7,
             grid=GridSpec(200, 1e-3, 8.0),
-            mc=mc(i=12),
+            mc=mc(5e-3, i=12),
             mc_bias=0.01,
         ),
     ]

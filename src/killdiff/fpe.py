@@ -85,7 +85,6 @@ class DensityFrame:
     time: float
     x: np.ndarray
     density: np.ndarray
-    flux: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,10 +217,6 @@ class _Discretization:
         except SingularSystemError as exc:  # pragma: no cover - valid problems are nonsingular
             raise AccuracyError(f"tridiagonal solve failed: {exc}") from exc
 
-    def nodal_flux(self, p: np.ndarray) -> np.ndarray:
-        dpdx = np.gradient(p, self.dx, edge_order=2)
-        return -self.D * dpdx + self.a * p
-
     def initial_vector(self, ic: InitialCondition) -> np.ndarray:
         """Unit mass at ic.y on the unknown nodes."""
         return self.point_mass(ic.y)[self.unknowns]
@@ -275,8 +270,7 @@ def evolve(
     series = ObservableSeries(times, surv, krate, brate, ratio)
     densities = {n: disc.full(u) for n, u in kept.items()}
     frames = tuple(
-        DensityFrame(n * dt, disc.x.copy(), densities[n].copy(), disc.nodal_flux(densities[n]))
-        for n in frame_steps
+        DensityFrame(n * dt, disc.x.copy(), densities[n].copy()) for n in frame_steps
     )
     return FpeResult(disc.x, series, frames, densities[n_steps], route, bound, disc.peclet)
 

@@ -1,34 +1,61 @@
-"""Trajectory-level Euler-Maruyama simulation of killed diffusion.
+"""Trajectory-level simulation of killed diffusion with exact bridge
+decisions.
 
 The independent stochastic oracle: every observable is estimated from
-termination events of simulated trajectories.  Point killings are
-regularized as top-hats of width `dirac_width`; the per-step kill decision
-uses the exact factor 1 - exp(-k dt).  Worker streams are counter-based
-(Philox keyed by (seed, worker index)) and reduced in worker order, so
-results are bit-identical for a fixed configuration regardless of
-scheduling.
+termination events of simulated trajectories.  A step of length dt moves a
+trajectory from x0 to x1 by the exact Gaussian increment of the drifted
+motion; given both endpoints, the path in between is a Brownian bridge of
+diffusivity D (the drift drops out), and the kill and exit decisions are
+made for that bridge:
+
+- an absorbing end at signed distance d0 before the step and d1 after it
+  (d1 <= 0 once crossed) is reached with probability
+  exp(-max(d0 d1, 0) / (D dt)) (Gobet 2000).  One uniform serves both ends:
+  the left end is hit if u < p_L, the right end if u > 1 - p_R;
+- a point spot xs of strength k kills with the probability that the
+  bridge's local time at xs exceeds an Exp(k) threshold (Borodin &
+  Salminen, Handbook of Brownian Motion):
+  (k/2) sqrt(pi dt/D) exp(-max(ab, 0)/(D dt)) erfcx((|a| + |b| + k dt) /
+  (2 sqrt(D dt))) with a = x0 - xs, b = x1 - xs; several spots kill with
+  1 - prod(1 - P_i), and the kill position is the spot;
+- uniform killing kills with 1 - exp(-v0 dt), at the in-step time
+  -log1p(-u)/v0 of the same uniform; piecewise killing with the trapezoid
+  1 - exp(-dt (k(x0) + k(x1))/2), at the step midpoint (exact unless the
+  step straddles a breakpoint).  Their kill position is the bridge point at
+  the kill time;
+- a step with both a kill and an exit (rare) ends with the earlier: the
+  crossing time tau = dt V/(1 + V), V inverse Gaussian with mean d0/|d1|
+  and shape d0^2/(2 D dt), against the kill time (the midpoint for spots).
+
+Ignored within a step: the interaction of a spot or of the killing with a
+reflecting end (x1 is reflected first, and the bridge runs to the reflected
+point) and, for several spots, the dependence of their local times.  Every
+event is recorded at the end of its step (time step*dt), so a mean time is
+high by at most dt/2.
+
+Worker streams are counter-based (Philox keyed by (seed, worker index)) and
+reduced in worker order, so results are bit-identical for a fixed
+configuration regardless of scheduling.
 
 Cost of a step.  A worker moves all its live trajectories one step per loop
-pass.  A pass costs the Philox draws (a uniform per trajectory when there is
-killing, then a normal) plus a fixed number of whole-array NumPy calls: the
-kill test against 1 - exp(-k dt) precomputed once per worker, the move and
-the reflections in place, one exit mask, and the removal of the trajectories
-that ended.  The crosscheck scenarios keep only about 800 trajectories live
-per step, so each call's fixed cost weighs as much as its arithmetic: the
-crosscheck matrix takes about 37 ns per trajectory-step, more than half of
-it the draws (54 ns when every step rebuilt its arrays and its rate field;
-both from `bench/run.py --workload matrix --trace 1`, in reference ns).
-Batching steps or another bit generator would be cheaper, but would change
-every draw.
+pass: a normal per trajectory, a uniform per trajectory for the ends and
+one for the killing, and a fixed number of whole-array NumPy calls written
+into buffers allocated once per worker.  The crossing times, kill times and
+kill positions are computed only on the few trajectories with an event.
+At about 700 live trajectories each call's fixed cost weighs as much as its
+arithmetic, so a trajectory-step costs about twice the plain Euler step
+with end checks at the step's end (158 vs 77 raw ns on a shared 2-core
+host, `bench/run.py --workload matrix --trace 1`); the exact decisions pay for it by
+allowing steps 5-20 times larger at the same accuracy (5.0 million
+trajectory-steps on the crosscheck matrix instead of 63 million).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -53,8 +80,6 @@ class McConfig:
     n_trajectories: int
     seed: int = 0
     workers: int = 1
-    dirac_width: float = 0.05
-    bridge_correction: bool = False
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -64,8 +89,6 @@ class McConfig:
             raise ValueError("n_trajectories must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not self.dirac_width > 0:
-            raise ValueError("dirac_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,38 +112,101 @@ class TrajectoryOutcomes:
         return self.fate == FATE_ABSORBED
 
 
-def _kill_probability(killing: KillingMeasure, width: float, dt: float):
-    """x -> 1 - exp(-k(x) dt), the probability of a kill in one step from
-    each position in x (a float for uniform killing), with point spots as
-    top-hats of `width`; None without killing.
+def _hit_probability(d0, d1, D: float, dt: float, out=None) -> np.ndarray:
+    """exp(-max(d0 d1, 0) / (D dt)): the probability that a Brownian bridge
+    of diffusivity D over a step dt reaches a point that lies at signed
+    distance d0 from its start and d1 from its end (1 once it crossed)."""
+    q = np.multiply(d0, d1, out=out)
+    np.maximum(q, 0.0, out=q)
+    q *= -1.0 / (D * dt)
+    return np.exp(q, out=q)
 
-    Built once per worker.  Each value is NumPy's `-expm1(-k * dt)`, which
-    gives the same bits from a one-element table as from a per-position
-    array (`math.expm1` differs from it in the last bit for some k)."""
+
+def _spot_kill_probability(x0, x1, xs: float, k: float, D: float, dt: float) -> np.ndarray:
+    """Probability that a spot at xs of strength k kills the Brownian bridge
+    from x0 to x1 over dt: E[1 - exp(-k L)] for its local time L at xs,
+    from the bridge's local-time law."""
+    from scipy.special import erfcx
+
+    a = np.subtract(x0, xs)
+    b = np.subtract(x1, xs)
+    p = _hit_probability(a, b, D, dt)
+    np.abs(a, out=a)
+    a += np.abs(b, out=b)
+    a += k * dt
+    a *= 0.5 / math.sqrt(D * dt)
+    p *= erfcx(a, out=a)
+    p *= 0.5 * k * math.sqrt(math.pi * dt / D)
+    return p
+
+
+def _crossing_time(rng: np.random.Generator, d0, d1, D: float, dt: float) -> np.ndarray:
+    """First time, within a step dt, that a Brownian bridge reaches a point
+    at distance d0 > 0 from its start and signed distance d1 from its end,
+    given that it does: tau / (dt - tau) is inverse Gaussian with mean
+    d0/|d1| and shape d0^2/(2 D dt)."""
+    v = rng.wald(d0 / np.abs(d1), d0 * d0 / (2 * D * dt))
+    return dt * v / (1 + v)
+
+
+def _bridge_point(rng: np.random.Generator, x0, x1, s, D: float, dt: float) -> np.ndarray:
+    """A draw of the Brownian bridge from x0 to x1 over dt at times s."""
+    spread = np.sqrt(2 * D * s * (dt - s) / dt)
+    return x0 + (x1 - x0) * (s / dt) + spread * rng.standard_normal(np.size(s))
+
+
+class _KillLaw(NamedTuple):
+    probability: Callable  # (x0, x1) -> kill probability of each step
+    time: Callable  # u -> in-step kill time of the steps killed with uniform u
+    position: Callable  # (rng, x0, x1, s, u) -> kill position of those steps
+
+
+def _kill_law(killing: KillingMeasure, D: float, dt: float):
+    """The kill decision of one step, exact for the Brownian bridge between
+    its endpoints (module docstring); None without killing."""
     if killing.kind is KillingKind.ZERO:
         return None
+
+    def midpoint(u):
+        return np.full(np.size(u), dt / 2)
+
+    def on_bridge(rng, x0, x1, s, u):
+        return _bridge_point(rng, x0, x1, s, D, dt)
+
     if killing.kind is KillingKind.UNIFORM:
-        p = float(-np.expm1(-np.array([killing.v0]) * dt)[0])
-        return lambda x: p
+        v0 = killing.v0
+        p = -math.expm1(-v0 * dt)
+        return _KillLaw(lambda x0, x1: p, lambda u: -np.log1p(-u) / v0, on_bridge)
     if killing.kind is KillingKind.PIECEWISE:
         breaks = np.asarray(killing.breakpoints)
-        table = -np.expm1(-np.asarray(killing.rates, dtype=float) * dt)
-        return lambda x: table[np.searchsorted(breaks, x, side="right")]
-    half = width / 2
-    heights = np.array([k for _, k in killing.spots]) / width
-    if len(killing.spots) == 1:
-        xs = killing.spots[0][0]
-        p_spot = -np.expm1(-heights * dt)[0]
-        return lambda x: np.where(np.abs(x - xs) < half, p_spot, 0.0)
-    spots = [xs for xs, _ in killing.spots]
+        half_rates = np.asarray(killing.rates, dtype=float) * (-dt / 2)
 
-    def probability(x: np.ndarray) -> np.ndarray:
-        rate = np.zeros_like(x)
-        for xs, hgt in zip(spots, heights):
-            rate += np.where(np.abs(x - xs) < half, hgt, 0.0)
-        return -np.expm1(-rate * dt)
+        def trapezoid(x0, x1):
+            r = half_rates[np.searchsorted(breaks, x0, side="right")]
+            r += half_rates[np.searchsorted(breaks, x1, side="right")]
+            return np.negative(np.expm1(r, out=r), out=r)
 
-    return probability
+        return _KillLaw(trapezoid, midpoint, on_bridge)
+    spots = killing.spots
+    if len(spots) == 1:
+        (xs, k), = spots
+        return _KillLaw(
+            lambda x0, x1: _spot_kill_probability(x0, x1, xs, k, D, dt),
+            midpoint,
+            lambda rng, x0, x1, s, u: np.full(np.size(u), xs),
+        )
+    sites = np.array([xs for xs, _ in spots])
+
+    def killed_by(x0, x1):
+        """Per spot, the probability that it or a spot before it kills the step."""
+        q = [1.0 - _spot_kill_probability(x0, x1, xs, k, D, dt) for xs, k in spots]
+        return 1.0 - np.cumprod(q, axis=0)
+
+    def at_spot(rng, x0, x1, s, u):
+        # the spots kill in turn: the first whose cumulative probability exceeds u
+        return sites[np.count_nonzero(killed_by(x0, x1) <= u, axis=0)]
+
+    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], midpoint, at_spot)
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,92 +220,97 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     dt = cfg.dt
     sigma = math.sqrt(2 * D * dt)
     shift = model.drift * dt
-    p_kill = _kill_probability(killing, cfg.dirac_width, dt)
+    kill = _kill_law(killing, D, dt)
     left_abs = dom.left.kind is BoundaryKind.ABSORBING
     right_abs = dom.right.kind is BoundaryKind.ABSORBING
+    exits = left_abs or right_abs
+    n_uniform = int(exits) + int(kill is not None)
 
-    x = np.full(n, y0, dtype=float)
     fate = np.full(n, FATE_ABSORBED, dtype=np.uint8)
     t_end = np.empty(n, dtype=float)
     x_end = np.empty(n, dtype=float)
     alive = np.arange(n)
+    # per-step buffers; a step uses the first m entries, m live trajectories.
+    # x0 and x1 trade buffers after a step that ends no trajectory.
+    x0_buf = np.full(n, y0, dtype=float)
+    x1_buf = np.empty(n, dtype=float)
+    u_buf = np.empty(n_uniform * n, dtype=float)
+    p_left = np.empty(n, dtype=float)
+    p_right = np.empty(n, dtype=float)
+    d0_right = np.empty(n, dtype=float)
+    d1_right = np.empty(n, dtype=float)
 
     step = 0
-    while alive.size:
+    m = n
+    while m:
         if step >= cfg.max_steps:
             raise AccuracyError(
-                f"{alive.size / n:.3%} of trajectories still alive after "
+                f"{m / n:.3%} of trajectories still alive after "
                 f"{cfg.max_steps} steps; raise max_steps or check termination"
             )
         step += 1
-        t_now = step * dt
-
-        if p_kill is not None:
-            killed = rng.random(x.size) < p_kill(x)
-            if np.count_nonzero(killed):
-                idx = alive[killed]
-                fate[idx] = FATE_KILLED
-                t_end[idx] = t_now
-                x_end[idx] = x[killed]
-                keep = ~killed
-                x = x[keep]
-                alive = alive[keep]
-                if not alive.size:
-                    break
-
-        # (x + a dt) + sigma z in place; without drift x + 0.0 == x
-        x_old = x.copy() if cfg.bridge_correction else None
-        z = rng.standard_normal(x.size)
-        z *= sigma
+        x0 = x0_buf[:m]
+        x1 = rng.standard_normal(out=x1_buf[:m])
+        x1 *= sigma
         if shift:
-            x += shift
-        x += z
-
-        if left_abs:
-            done = x <= 0.0
-        else:
-            np.negative(x, out=x, where=x < 0.0)
-        if right_abs:
-            if left_abs:
-                done |= x >= L
-            else:
-                done = x >= L
-        else:
-            np.subtract(2 * L, x, out=x, where=x > L)
+            x1 += shift
+        x1 += x0
+        if not left_abs:
+            np.negative(x1, out=x1, where=x1 < 0.0)
+        if not right_abs:
+            np.subtract(2 * L, x1, out=x1, where=x1 > L)
+        if not exits:
             # a reflected step can only leave [0, L] for absurdly large dt;
             # clamp as a guard
-            np.clip(x, 0.0, L, out=x)
-        if not (left_abs or right_abs):
+            np.clip(x1, 0.0, L, out=x1)
+        u = rng.random(out=u_buf[: n_uniform * m])
+        u_exit, u_kill = (u[:m], u[m:]) if exits else (None, u)
+
+        if left_abs:
+            left = u_exit < _hit_probability(x0, x1, D, dt, out=p_left[:m])
+            events = left
+        if right_abs:
+            p = _hit_probability(
+                np.subtract(L, x0, out=d0_right[:m]), np.subtract(L, x1, out=d1_right[:m]),
+                D, dt, out=p_right[:m],
+            )
+            right = u_exit > np.subtract(1.0, p, out=p)
+            events = left | right if left_abs else right
+        if kill is not None:
+            killed = u_kill < kill.probability(x0, x1)
+            events = events | killed if exits else killed
+        ev = events.nonzero()[0]
+        if not ev.size:
+            x0_buf, x1_buf = x1_buf, x0_buf
             continue
 
-        if cfg.bridge_correction:
-            live = ~done
-            if left_abs and np.any(live):
-                p_cross = np.exp(-np.maximum(x_old * x, 0.0)[live] / (D * dt))
-                bridged = rng.random(p_cross.size) < p_cross
-                sel = np.flatnonzero(live)[bridged]
-                done[sel] = True
-                x[sel] = 0.0  # the end crossed, read back as the exit position
-            live = ~done
-            if right_abs and np.any(live):
-                p_cross = np.exp(
-                    -np.maximum((L - x_old) * (L - x), 0.0)[live] / (D * dt)
-                )
-                bridged = rng.random(p_cross.size) < p_cross
-                sel = np.flatnonzero(live)[bridged]
-                done[sel] = True
-                x[sel] = L
-
-        if np.count_nonzero(done):
-            idx = alive[done]
-            t_end[idx] = t_now
-            if left_abs and right_abs:
-                x_end[idx] = np.where(x[done] <= 0.0, 0.0, L)
-            else:
-                x_end[idx] = 0.0 if left_abs else L
-            keep = ~done
-            x = x[keep]
-            alive = alive[keep]
+        idx = alive[ev]
+        t_end[idx] = step * dt
+        if left_abs and right_abs:
+            x_end[idx] = np.where(left[ev], 0.0, L)
+        elif exits:
+            x_end[idx] = 0.0 if left_abs else L
+        dead = ev[killed[ev]] if kill is not None else ev[:0]
+        if dead.size:
+            s = kill.time(u_kill[dead])
+            if exits:
+                # a kill and an exit in one step: the earlier ends it
+                at_left = left[dead] if left_abs else np.zeros(dead.size, dtype=bool)
+                both = at_left | right[dead] if right_abs else at_left
+                if both.any():
+                    b = dead[both]
+                    d0 = np.where(at_left[both], x0[b], L - x0[b])
+                    d1 = np.where(at_left[both], x1[b], L - x1[b])
+                    first = ~both
+                    first[both] = s[both] < _crossing_time(rng, d0, d1, D, dt)
+                    dead, s = dead[first], s[first]
+            idx = alive[dead]
+            fate[idx] = FATE_KILLED
+            x_end[idx] = np.clip(kill.position(rng, x0[dead], x1[dead], s, u_kill[dead]), 0.0, L)
+        keep = ~events
+        m -= ev.size
+        x0_buf = x1[keep]
+        alive = alive[keep]
 
     return fate, t_end, x_end
 
@@ -232,17 +323,11 @@ def simulate_outcomes(
     dom = model.domain
     if not (0 <= y <= dom.length):
         raise InputError("start position outside the interval")
+    if (y, BoundaryKind.ABSORBING) in ((0, dom.left.kind), (dom.length, dom.right.kind)):
+        raise InputError("start position on an absorbing end")
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
         raise InputError("trajectories would never terminate")
-    if killing.kind is KillingKind.DIRAC:
-        recommended = 2 * math.sqrt(2 * model.diffusion * cfg.dt)
-        if cfg.dirac_width < recommended:
-            warnings.warn(
-                f"dirac_width {cfg.dirac_width:.3g} below the recommended "
-                f"2*sqrt(2 D dt) = {recommended:.3g}; spot kill counts may be noisy",
-                stacklevel=2,
-            )
 
     counts = [cfg.n_trajectories // cfg.workers] * cfg.workers
     for w in range(cfg.n_trajectories % cfg.workers):

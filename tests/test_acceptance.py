@@ -145,7 +145,7 @@ def test_criterion_6_rinf_adjudication():
     ok = ok and abs(res.paper_value * res.derived_value - 1.0) < 1e-9
     mc = montecarlo.simulate_split(
         model, killing, x1,
-        McConfig(dt=1e-4, n_trajectories=20000, seed=0, dirac_width=0.03, bridge_correction=True),
+        McConfig(dt=1e-4, n_trajectories=20000, seed=0),
     )
     ok = ok and abs(mc.ratio_rinf - res.derived_value) <= 3 * mc.ratio_rinf_se
     verdict_line(6, "absorbed/killed ratio 18.0 via all routes; printed variant is its reciprocal", ok)
@@ -161,7 +161,7 @@ def test_criterion_7_conditional_mfpt_adjudication():
         closed = analytic.conditional_mean_kill_time_dirac(y, x1, V).derived_value
         stats = montecarlo.simulate_split(
             model, KillingMeasure.dirac([(x1, V)]),
-            y, McConfig(dt=5e-4, n_trajectories=8000, seed=11, dirac_width=0.07),
+            y, McConfig(dt=5e-4, n_trajectories=8000, seed=11),
         )
         ok = ok and abs(stats.mean_kill_time - closed) <= 3 * stats.mean_kill_time_se
     verdict_line(7, "single sign verdict -(alpha+beta); oracle to 1e-4 and MC means within 3 sigma", ok)
@@ -181,7 +181,6 @@ def test_criterion_8_spectral_decay():
     verdict_line(8, "decay rate 1.0 under refinement, shifted exactly by v0; conflicting claim documented", ok)
 
 
-@pytest.mark.filterwarnings("ignore:dirac_width")
 def test_criterion_9_convergence_orders():
     # PDE: halving (dx, dt) reduces observable errors about fourfold
     model = interval(2.0)
@@ -195,18 +194,16 @@ def test_criterion_9_convergence_orders():
         e_c = abs(getattr(coarse, obs) - getattr(ref, obs))
         e_f = abs(getattr(fine, obs) - getattr(ref, obs))
         ok = ok and 3.0 <= e_c / e_f <= 5.0
-    # MC: halving (dt, width) moves point-killing estimates toward the truth
+    # MC: exact bridge killing leaves no step bias in the point-killing split
     m2 = interval(PI)
     k2 = KillingMeasure.dirac([(2.0, 1.0)])
     pk_exact, _ = crosscheck.analytic_split_dirac(m2, k2, 1.0)
-    biases = []
-    for dt, eps in ((8e-3, 0.4), (4e-3, 0.2), (2e-3, 0.1)):
+    for dt in (8e-3, 4e-3, 2e-3):
         stats = montecarlo.simulate_split(
-            m2, k2, 1.0, McConfig(dt=dt, n_trajectories=100_000, seed=13, dirac_width=eps)
+            m2, k2, 1.0, McConfig(dt=dt, n_trajectories=100_000, seed=13)
         )
-        biases.append(abs(stats.p_killed - pk_exact))
-    ok = ok and biases[0] > biases[1] > biases[2]
-    verdict_line(9, "PDE error ratio in [3, 5] per refinement; MC point-killing bias shrinks monotonically", ok)
+        ok = ok and abs(stats.p_killed - pk_exact) <= 3 * stats.p_killed_se
+    verdict_line(9, "PDE error ratio in [3, 5] per refinement; MC p_killed within 3 sigma at every dt", ok)
 
 
 def test_criterion_10_determinism(matrix_report):

@@ -122,7 +122,6 @@ cells = 200
 dt = 2e-3
 t_max = 14.0
 mc_n = 1000
-mc_width = 0.09
 """,
     )
     out = tmp_path / "out"
@@ -375,6 +374,22 @@ def test_sweep_v0_refuses_a_killing_it_would_replace(tmp_path, capsys, ini, kind
     assert err.startswith("error: v0=1.0: ")
     assert f"not {kind}" in err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_y_refuses_a_steady_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", os.path.join(SCENARIOS, "steady_uniform.ini"), "--param", "y", "--values", "0.2,0.5"]
+    assert main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: y=0.2: ")
+    assert "no start point" in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_mc_width_is_an_unknown_key(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("mc_n = 500", "mc_n = 500\nmc_width = 0.09"))
+    assert main(["split", path]) == 2
+    assert "unknown key 'mc_width' in section [method]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ def test_drift_scenario_has_no_analytic_rows(kind, y):
         KillingMeasure.dirac([(0.6, 5.0)]),
         y=y,
         grid=GridSpec(100, 1e-3, 1.0),
-        mc=McConfig(dt=1e-3, n_trajectories=200, dirac_width=0.09),
+        mc=McConfig(dt=1e-3, n_trajectories=200),
         mc_bias=0.1,
     )
     rows = run_matrix(scenarios=[sc]).rows

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from killdiff import analytic, fpe, montecarlo
+from killdiff import analytic, crosscheck, fpe, montecarlo
 from killdiff.analytic import PI
 from killdiff.fpe import GridSpec
-from killdiff.model import BoundaryKind, InitialCondition, KillingKind, KillingMeasure, interval
-from killdiff.montecarlo import FATE_ABSORBED, FATE_KILLED, McConfig
+from killdiff.model import InitialCondition, KillingMeasure, interval
+from killdiff.montecarlo import McConfig
 from killdiff.numerics import AccuracyError
 
 
@@ -24,8 +24,6 @@ def test_config_validation():
         McConfig(dt=1e-3, n_trajectories=0)
     with pytest.raises(ValueError):
         McConfig(dt=1e-3, n_trajectories=10, workers=0)
-    with pytest.raises(ValueError):
-        McConfig(dt=1e-3, n_trajectories=10, dirac_width=0.0)
 
 
 def test_every_trajectory_terminates_with_a_fate():
@@ -85,17 +83,16 @@ def test_split_matches_pde_for_uniform_killing():
     assert mc.p_killed == pytest.approx(pde.p_killed, abs=3 * mc.p_killed_se + 0.01)
 
 
-def test_narrow_spot_width_warns():
-    model = interval(PI)
-    killing = KillingMeasure.dirac([(2.0, 1.0)])
-    with pytest.warns(UserWarning, match="dirac_width"):
-        montecarlo.simulate_outcomes(model, killing, 1.0, cfg(dirac_width=0.01, n_trajectories=50))
-
-
 def test_nonterminating_problem_rejected():
     model = interval(1.0, "reflecting", "reflecting")
     with pytest.raises(ValueError, match="never terminate"):
         montecarlo.simulate_outcomes(model, KillingMeasure.zero(), 0.5, cfg())
+
+
+@pytest.mark.parametrize("left,right,y", [("absorbing", "reflecting", 0.0), ("reflecting", "absorbing", 1.0)])
+def test_start_on_an_absorbing_end_rejected(left, right, y):
+    with pytest.raises(ValueError, match="on an absorbing end"):
+        montecarlo.simulate_outcomes(interval(1.0, left, right), KillingMeasure.uniform(1.0), y, cfg())
 
 
 def test_max_steps_guard():
@@ -109,7 +106,7 @@ def test_max_steps_guard():
 def test_kill_histogram_requires_events():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 0.01)])
-    out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=50, dirac_width=0.09))
+    out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=50))
     with pytest.raises(AccuracyError, match="kill events"):
         montecarlo.kill_location_histogram(out, min_events=100)
 
@@ -117,9 +114,7 @@ def test_kill_histogram_requires_events():
 def test_kill_histogram_concentrates_at_spot():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 5.0)])
-    out = montecarlo.simulate_outcomes(
-        model, killing, 1.0, cfg(n_trajectories=4000, dirac_width=0.09)
-    )
+    out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=4000))
     edges, density = montecarlo.kill_location_histogram(out, bins=np.linspace(0, PI, 64))
     centers = (edges[:-1] + edges[1:]) / 2
     peak = centers[np.argmax(density)]
@@ -156,211 +151,126 @@ def test_survival_curve_point_count_ends_at_the_last_termination():
     assert s[-1] == 0.0
 
 
-def test_bridge_correction_shortens_exit_times():
-    # crossing-probability correction catches within-step boundary hits, so
-    # exits happen no later on average
-    model = interval(PI)
-    plain = montecarlo.simulate_split(model, KillingMeasure.zero(), PI / 2, cfg(dt=5e-3))
-    bridged = montecarlo.simulate_split(
-        model, KillingMeasure.zero(), PI / 2, cfg(dt=5e-3, bridge_correction=True)
-    )
-    assert bridged.mean_absorb_time < plain.mean_absorb_time
-    # and moves the estimate toward the exact mean exit time pi^2/8
-    exact = PI**2 / 8
-    assert abs(bridged.mean_absorb_time - exact) < abs(plain.mean_absorb_time - exact)
-
-
 def test_huge_spot_still_leaves_survivors():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 500.0)])
-    stats = montecarlo.simulate_split(model, killing, 1.0, cfg(dirac_width=0.09))
+    stats = montecarlo.simulate_split(model, killing, 1.0, cfg())
     assert stats.ratio_rinf >= 0
     assert stats.p_absorbed > 0
 
 
-# --- the per-step kernel against the straightforward one it replaced ----------
+def test_two_spots_kill_only_at_their_sites():
+    killing = KillingMeasure.dirac([(0.3, 2.0), (0.7, 3.0)])
+    out = montecarlo.simulate_outcomes(interval(1.0), killing, 0.5, cfg(dt=4e-3))
+    sites, counts = np.unique(out.position[out.killed], return_counts=True)
+    assert sites.tolist() == [0.3, 0.7]
+    assert counts.min() > 100
 
 
-def _reference_rate_field(killing, width):
-    """Vectorized killing-rate field with top-hat regularized spots."""
-    if killing.kind is KillingKind.DIRAC:
-        spots = np.array([x for x, _ in killing.spots])
-        heights = np.array([k for _, k in killing.spots]) / width
-
-        def rate(x: np.ndarray) -> np.ndarray:
-            r = np.zeros_like(x)
-            for xs, hgt in zip(spots, heights):
-                r += np.where(np.abs(x - xs) < width / 2, hgt, 0.0)
-            return r
-
-        return rate
-    return killing.smooth_rate
+# --- the bridge decisions of one step ------------------------------------------
 
 
-def _reference_worker(args):
-    """One step per loop pass, every array rebuilt: the kernel that
-    `montecarlo._simulate_worker` must reproduce draw for draw."""
-    model, killing, y0, cfg, n, worker = args
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, worker], dtype=np.uint64))
-    )
-    dom = model.domain
-    L = dom.length
-    D = model.diffusion
-    a = model.drift
-    dt = cfg.dt
-    sigma = math.sqrt(2 * D * dt)
-    rate = _reference_rate_field(killing, cfg.dirac_width)
-    has_rate = not killing.is_zero
-    left_abs = dom.left.kind is BoundaryKind.ABSORBING
-    right_abs = dom.right.kind is BoundaryKind.ABSORBING
+def local_time_kill_probability(x0, x1, xs, k, D, dt):
+    """E[1 - exp(-kappa l)] by quadrature over the Brownian-bridge local-time
+    law P(l > u | a, b) = exp(-((|a| + |b| + u)^2 - (b - a)^2) / (2 dt)),
+    in the units of a standard motion: a = (x0 - xs)/sqrt(2D), b likewise,
+    kappa = k/sqrt(2D)."""
+    from scipy.integrate import quad
 
-    x = np.full(n, y0, dtype=float)
-    fate = np.empty(n, dtype=np.uint8)
-    t_end = np.empty(n, dtype=float)
-    x_end = np.empty(n, dtype=float)
-    alive = np.arange(n)
+    s = math.sqrt(2 * D)
+    a, b, kappa = (x0 - xs) / s, (x1 - xs) / s, k / s
 
-    step = 0
-    while alive.size:
-        if step >= cfg.max_steps:
-            raise AccuracyError(
-                f"{alive.size / n:.3%} of trajectories still alive after "
-                f"{cfg.max_steps} steps; raise max_steps or check termination"
-            )
-        step += 1
-        t_now = step * dt
+    def tail(u):
+        return math.exp(-((abs(a) + abs(b) + u) ** 2 - (b - a) ** 2) / (2 * dt))
 
-        if has_rate:
-            k_here = rate(x)
-            u = rng.random(x.size)
-            killed = u < -np.expm1(-k_here * dt)
-            if np.any(killed):
-                idx = alive[killed]
-                fate[idx] = FATE_KILLED
-                t_end[idx] = t_now
-                x_end[idx] = x[killed]
-                keep = ~killed
-                x = x[keep]
-                alive = alive[keep]
-                if not alive.size:
-                    break
-
-        x_old = x
-        x = x + a * dt + sigma * rng.standard_normal(x.size)
-
-        done = np.zeros(x.size, dtype=bool)
-        hit_pos = np.empty(x.size, dtype=float)
-        if left_abs:
-            hit = x <= 0.0
-            done |= hit
-            hit_pos[hit] = 0.0
-        else:
-            x = np.where(x < 0.0, -x, x)
-        if right_abs:
-            hit = (~done) & (x >= L)
-            done |= hit
-            hit_pos[hit] = L
-        else:
-            x = np.where(x > L, 2 * L - x, x)
-            # a reflected step can only leave [0, L] for absurdly large dt;
-            # clamp as a guard
-            np.clip(x, 0.0, L, out=x)
-
-        if cfg.bridge_correction:
-            live = ~done
-            if left_abs and np.any(live):
-                p_cross = np.exp(-np.maximum(x_old * x, 0.0)[live] / (D * dt))
-                bridged = rng.random(p_cross.size) < p_cross
-                sel = np.flatnonzero(live)[bridged]
-                done[sel] = True
-                hit_pos[sel] = 0.0
-            live = ~done
-            if right_abs and np.any(live):
-                p_cross = np.exp(
-                    -np.maximum((L - x_old) * (L - x), 0.0)[live] / (D * dt)
-                )
-                bridged = rng.random(p_cross.size) < p_cross
-                sel = np.flatnonzero(live)[bridged]
-                done[sel] = True
-                hit_pos[sel] = L
-
-        if np.any(done):
-            idx = alive[done]
-            fate[idx] = FATE_ABSORBED
-            t_end[idx] = t_now
-            x_end[idx] = hit_pos[done]
-            keep = ~done
-            x = x[keep]
-            alive = alive[keep]
-
-    return fate, t_end, x_end
+    value, _ = quad(lambda u: kappa * math.exp(-kappa * u) * tail(u), 0, math.inf, epsabs=1e-14)
+    return value
 
 
-KILLINGS = {
-    "zero": KillingMeasure.zero(),
-    "uniform": KillingMeasure.uniform(3.0),
-    "one-spot": KillingMeasure.dirac([(0.4, 2.0)]),
-    "overlapping-spots": KillingMeasure.dirac([(0.45, 2.0), (0.5, 3.0)]),
-    "piecewise": KillingMeasure.piecewise([0.3, 0.6], [0.5, 3.0, 1.0]),
-}
+@pytest.mark.parametrize("D", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("dt", [1e-3, 0.04])
+@pytest.mark.parametrize("k", [0.3, 5.0, 60.0])
+def test_spot_probability_is_the_local_time_law(k, dt, D):
+    xs = 0.5
+    spread = math.sqrt(2 * D * dt)
+    ends = [(0.5, 0.5), (0.45, 0.52), (0.5 - spread, 0.5 + 2 * spread), (0.4, 0.45), (0.6, 0.5 + spread)]
+    x0, x1 = (np.array(v) for v in zip(*ends))
+    got = montecarlo._spot_kill_probability(x0, x1, xs, k, D, dt)
+    expected = [local_time_kill_probability(a, b, xs, k, D, dt) for a, b in ends]
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
 
 
-def test_kill_probability_tables_give_the_per_position_bits():
-    rates = np.random.default_rng(0).uniform(0.0, 50.0, 2000)
-    dt = 1e-3
-    expected = -np.expm1(-rates * dt)
-    uniform = [montecarlo._kill_probability(KillingMeasure.uniform(v), 0.1, dt)(None) for v in rates]
-    assert np.array_equal(uniform, expected)
-    breaks = np.arange(1, rates.size) / rates.size
-    piecewise = montecarlo._kill_probability(KillingMeasure.piecewise(breaks, rates), 0.1, dt)
-    x = (np.arange(rates.size) + 0.5) / rates.size
-    assert np.array_equal(piecewise(x), expected)
+def test_spot_probability_limits():
+    D, dt, xs = 1.0, 0.01, 0.0
+    rng = np.random.default_rng(1)
+    x0 = rng.normal(0.0, 0.2, 400)
+    x1 = x0 + rng.normal(0.0, math.sqrt(2 * D * dt), 400)
+    strengths = [0.0, 0.1, 1.0, 10.0, 100.0, 1e4, 1e9]
+    p = np.array([montecarlo._spot_kill_probability(x0, x1, xs, k, D, dt) for k in strengths])
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(p[0] == 0.0)
+    assert np.all(np.diff(p, axis=0) >= 0.0)
+    # an infinitely strong spot kills exactly the bridges that reach it:
+    # exp(-2 max(ab, 0)/dt) with a, b in units of sqrt(2D)
+    a, b = x0 / math.sqrt(2 * D), x1 / math.sqrt(2 * D)
+    np.testing.assert_allclose(p[-1], np.exp(-2 * np.maximum(a * b, 0.0) / dt), rtol=1e-6, atol=1e-12)
 
 
-def _assert_same_outcomes(out, ref):
-    fate, time, position = ref
-    assert np.array_equal(out.fate, fate)
-    assert np.array_equal(out.time, time)
-    assert np.array_equal(out.position, position)
+def test_crossing_time_lies_in_the_step_and_follows_the_bridge():
+    from scipy.integrate import quad
+
+    D, dt = 1.0, 0.02
+    rng = np.random.default_rng(4)
+    d0 = rng.uniform(1e-6, 0.4, 20000)
+    d1 = rng.uniform(-0.4, 0.4, 20000)
+    tau = montecarlo._crossing_time(rng, d0, d1, D, dt)
+    assert np.all((tau > 0.0) & (tau <= dt))
+
+    # one bridge that crossed: the sample mean against the first-passage
+    # density t^-3/2 (dt - t)^-1/2 exp(-d0^2/(4Dt) - d1^2/(4D(dt - t)))
+    a, b = 0.1, -0.05
+    tau = montecarlo._crossing_time(rng, np.full(40000, a), np.full(40000, b), D, dt)
+
+    def density(t):
+        return t**-1.5 * (dt - t) ** -0.5 * math.exp(-a * a / (4 * D * t) - b * b / (4 * D * (dt - t)))
+
+    mass, _ = quad(density, 0, dt, limit=200)
+    mean, _ = quad(lambda t: t * density(t), 0, dt, limit=200)
+    assert abs(tau.mean() - mean / mass) <= 4 * tau.std() / math.sqrt(tau.size)
 
 
-# every end-kind pair and killing kind, except the one that never terminates
-TERMINATING = [
-    (left, right, kill)
-    for left in ("absorbing", "reflecting")
-    for right in ("absorbing", "reflecting")
-    for kill in KILLINGS
-    if "absorbing" in (left, right) or kill != "zero"
-]
+def test_hit_probability_is_one_once_crossed():
+    p = montecarlo._hit_probability(np.array([0.1, 0.1, 0.0]), np.array([-0.2, 0.0, 0.3]), 1.0, 0.01)
+    assert p.tolist() == [1.0, 1.0, 1.0]
+    far = montecarlo._hit_probability(np.array([1.0]), np.array([1.0]), 1.0, 0.01)
+    assert far[0] == math.exp(-100.0)
 
 
-@pytest.mark.parametrize("bridge", [False, True], ids=["euler", "bridge"])
-@pytest.mark.parametrize("drift", [0.0, 1.5])
-@pytest.mark.parametrize("left,right,kill", TERMINATING)
-def test_worker_is_draw_for_draw_the_reference(left, right, kill, drift, bridge):
-    killing = KILLINGS[kill]
-    model = interval(1.0, left, right, drift=drift)
-    config = cfg(dt=5e-3, n_trajectories=300, seed=5, dirac_width=0.1, bridge_correction=bridge)
-    args = (model, killing, 0.35, config, config.n_trajectories, 1)
-    out = montecarlo.TrajectoryOutcomes(*montecarlo._simulate_worker(args))
-    _assert_same_outcomes(out, _reference_worker(args))
+def test_kill_probability_of_a_rate_field():
+    dt = 0.01
+    uniform = montecarlo._kill_law(KillingMeasure.uniform(3.0), 1.0, dt)
+    assert uniform.probability(np.zeros(2), np.ones(2)) == -math.expm1(-3.0 * dt)
+    piecewise = montecarlo._kill_law(KillingMeasure.piecewise([0.5], [1.0, 5.0]), 1.0, dt)
+    x0, x1 = np.array([0.2, 0.7, 0.45]), np.array([0.3, 0.6, 0.55])
+    expected = -np.expm1(-dt * np.array([1.0, 5.0, 3.0]))
+    np.testing.assert_allclose(piecewise.probability(x0, x1), expected, rtol=1e-15)
 
 
-def test_two_workers_match_the_reference():
-    model, killing = interval(2.0, drift=-0.5), KillingMeasure.piecewise([1.2], [0.4, 2.5])
-    config = cfg(dt=2e-3, n_trajectories=501, seed=9, workers=2)
-    out = montecarlo.simulate_outcomes(model, killing, 0.7, config)
-    parts = [_reference_worker((model, killing, 0.7, config, n, w)) for w, n in enumerate((251, 250))]
-    _assert_same_outcomes(out, [np.concatenate(p) for p in zip(*parts)])
+# --- statistical checks at large steps -------------------------------------------
 
 
-def test_steady_ratio_matches_the_reference():
-    model = interval(1.0, "absorbing", "injection", phi=1.0)
-    killing = KillingMeasure.uniform(4.0)
-    config = cfg(dt=2e-3, n_trajectories=800, seed=2)
-    ratio, se = montecarlo.simulate_rs(model, killing, config)
-    reflected = interval(1.0, "absorbing", "reflecting")
-    ref = _reference_worker((reflected, killing, 1.0, config, config.n_trajectories, 0))
-    expected = montecarlo.split_from_outcomes(montecarlo.TrajectoryOutcomes(*ref))
-    assert (ratio, se) == (expected.ratio_rinf, expected.ratio_rinf_se)
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.04])
+def test_point_killing_split_has_no_step_bias(dt):
+    model, killing, y = interval(PI), KillingMeasure.dirac([(2.0, 1.0)]), 1.0
+    exact, _ = crosscheck.analytic_split_dirac(model, killing, y)
+    stats = montecarlo.simulate_split(model, killing, y, cfg(dt=dt, n_trajectories=40000))
+    assert abs(stats.p_killed - exact) <= 3 * stats.p_killed_se
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.04])
+def test_bridged_exits_give_the_mean_exit_time(dt):
+    L, y, D = PI, 1.0, 1.0
+    stats = montecarlo.simulate_split(interval(L), KillingMeasure.zero(), y, cfg(dt=dt, n_trajectories=40000))
+    exact = y * (L - y) / (2 * D)
+    # events are recorded at the end of their step: at most dt/2 late on average
+    assert abs(stats.mean_absorb_time - exact) <= 3 * stats.mean_absorb_time_se + dt / 2
