@@ -6,8 +6,8 @@ import pytest
 from killdiff import analytic, crosscheck, fpe, montecarlo
 from killdiff.analytic import PI
 from killdiff.fpe import GridSpec
-from killdiff.model import InitialCondition, KillingMeasure, interval
-from killdiff.montecarlo import McConfig
+from killdiff.model import BoundaryKind, InitialCondition, KillingKind, KillingMeasure, interval
+from killdiff.montecarlo import FATE_ABSORBED, FATE_KILLED, McConfig
 from killdiff.numerics import AccuracyError
 
 
@@ -274,3 +274,177 @@ def test_bridged_exits_give_the_mean_exit_time(dt):
     exact = y * (L - y) / (2 * D)
     # events are recorded at the end of their step: at most dt/2 late on average
     assert abs(stats.mean_absorb_time - exact) <= 3 * stats.mean_absorb_time_se + dt / 2
+
+
+# --- the per-step kernel against a straightforward statement of it ---------------
+
+
+def _reference_kill(killing, x0, x1, D, dt):
+    """Per step, the cumulative kill probability over the spots (one row for
+    a rate field), straight from the formulas of the module docstring."""
+    from scipy.special import erfcx
+
+    if killing.kind is KillingKind.DIRAC:
+        survive = np.ones_like(x0)
+        rows = []
+        for xs, k in killing.spots:
+            a, b = x0 - xs, x1 - xs
+            p = (
+                k / 2 * math.sqrt(PI * dt / D)
+                * np.exp(-np.maximum(a * b, 0.0) / (D * dt))
+                * erfcx((np.abs(a) + np.abs(b) + k * dt) / (2 * math.sqrt(D * dt)))
+            )
+            survive = survive * (1.0 - p)
+            rows.append(1.0 - survive)
+        return np.array(rows)
+    rate = (killing.smooth_rate(x0) + killing.smooth_rate(x1)) / 2
+    return -np.expm1(-rate * dt)[None, :]
+
+
+def _reference_worker(args):
+    """One step per loop pass, every array rebuilt and every decision taken
+    from the formulas: the kernel that `montecarlo._simulate_worker` must
+    reproduce draw for draw."""
+    model, killing, y0, cfg, n, worker = args
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, worker], dtype=np.uint64))
+    )
+    dom = model.domain
+    L = dom.length
+    D = model.diffusion
+    dt = cfg.dt
+    sigma = math.sqrt(2 * D * dt)
+    shift = model.drift * dt
+    has_kill = not killing.is_zero
+    left_abs = dom.left.kind is BoundaryKind.ABSORBING
+    right_abs = dom.right.kind is BoundaryKind.ABSORBING
+    exits = left_abs or right_abs
+
+    x = np.full(n, y0, dtype=float)
+    fate = np.full(n, FATE_ABSORBED, dtype=np.uint8)
+    t_end = np.empty(n, dtype=float)
+    x_end = np.empty(n, dtype=float)
+    alive = np.arange(n)
+
+    step = 0
+    while alive.size:
+        if step >= cfg.max_steps:
+            raise AccuracyError(
+                f"{alive.size / n:.3%} of trajectories still alive after "
+                f"{cfg.max_steps} steps; raise max_steps or check termination"
+            )
+        step += 1
+        m = alive.size
+        x0 = x
+        x1 = sigma * rng.standard_normal(m) + shift + x0
+        if not left_abs:
+            x1 = np.where(x1 < 0.0, -x1, x1)
+        if not right_abs:
+            x1 = np.where(x1 > L, 2 * L - x1, x1)
+        if not exits:
+            x1 = np.clip(x1, 0.0, L)
+        u = rng.random((int(exits) + int(has_kill)) * m)
+        u_exit, u_kill = (u[:m], u[m:]) if exits else (None, u)
+
+        none = np.zeros(m, dtype=bool)
+        left = u_exit < np.exp(-np.maximum(x0 * x1, 0.0) / (D * dt)) if left_abs else none
+        right = (
+            u_exit > 1.0 - np.exp(-np.maximum((L - x0) * (L - x1), 0.0) / (D * dt))
+            if right_abs else none
+        )
+        exited = left | right
+        killed = none
+        if has_kill:
+            cumulative = _reference_kill(killing, x0, x1, D, dt)
+            killed = u_kill < cumulative[-1]
+            if killing.kind is KillingKind.UNIFORM:
+                s = -np.log1p(-u_kill) / killing.v0
+            else:
+                s = np.full(m, dt / 2)
+            # a kill and an exit in one step: the earlier ends it
+            both = killed & exited
+            if both.any():
+                d0 = np.where(left, x0, L - x0)[both]
+                d1 = np.where(left, x1, L - x1)[both]
+                v = rng.wald(d0 / np.abs(d1), d0 * d0 / (2 * D * dt))
+                tau = dt * v / (1 + v)
+                killed[both] = s[both] < tau
+            if killed.any():
+                if killing.kind is KillingKind.DIRAC:
+                    sites = np.array([xs for xs, _ in killing.spots])
+                    pos = sites[np.count_nonzero(cumulative[:, killed] <= u_kill[killed], axis=0)]
+                else:
+                    sk = s[killed]
+                    spread = np.sqrt(2 * D * sk * (dt - sk) / dt)
+                    a, b = x0[killed], x1[killed]
+                    pos = a + (b - a) * (sk / dt) + spread * rng.standard_normal(sk.size)
+                idx = alive[killed]
+                fate[idx] = FATE_KILLED
+                x_end[idx] = np.clip(pos, 0.0, L)
+
+        ended = exited | killed
+        absorbed = exited & ~killed
+        x_end[alive[absorbed]] = np.where(left, 0.0, L)[absorbed]
+        t_end[alive[ended]] = step * dt
+        x = x1[~ended]
+        alive = alive[~ended]
+
+    return fate, t_end, x_end
+
+
+KILLINGS = {
+    "zero": KillingMeasure.zero(),
+    "uniform": KillingMeasure.uniform(3.0),
+    "one-spot": KillingMeasure.dirac([(0.4, 2.0)]),
+    "overlapping-spots": KillingMeasure.dirac([(0.45, 2.0), (0.5, 3.0)]),
+    "piecewise": KillingMeasure.piecewise([0.3, 0.6], [0.5, 3.0, 1.0]),
+}
+
+
+def _assert_same_outcomes(out, ref):
+    fate, time, position = ref
+    assert np.array_equal(out.fate, fate)
+    assert np.array_equal(out.time, time)
+    assert np.array_equal(out.position, position)
+
+
+# every end-kind pair and killing kind, except the one that never terminates
+TERMINATING = [
+    (left, right, kill)
+    for left in ("absorbing", "reflecting")
+    for right in ("absorbing", "reflecting")
+    for kill in KILLINGS
+    if "absorbing" in (left, right) or kill != "zero"
+]
+
+
+# the large step makes a kill and an exit in one step common
+@pytest.mark.parametrize("dt", [5e-3, 0.04])
+@pytest.mark.parametrize("drift", [0.0, 1.5])
+@pytest.mark.parametrize("left,right,kill", TERMINATING)
+def test_worker_is_draw_for_draw_the_reference(left, right, kill, drift, dt):
+    killing = KILLINGS[kill]
+    model = interval(1.0, left, right, drift=drift)
+    config = cfg(dt=dt, n_trajectories=300, seed=5)
+    args = (model, killing, 0.35, config, config.n_trajectories, 1)
+    out = montecarlo.TrajectoryOutcomes(*montecarlo._simulate_worker(args))
+    _assert_same_outcomes(out, _reference_worker(args))
+
+
+def test_two_workers_match_the_reference():
+    model, killing = interval(2.0, drift=-0.5), KillingMeasure.piecewise([1.2], [0.4, 2.5])
+    config = cfg(dt=2e-2, n_trajectories=501, seed=9, workers=2)
+    out = montecarlo.simulate_outcomes(model, killing, 0.7, config)
+    parts = [_reference_worker((model, killing, 0.7, config, n, w)) for w, n in enumerate((251, 250))]
+    _assert_same_outcomes(out, [np.concatenate(p) for p in zip(*parts)])
+
+
+def test_steady_ratio_matches_the_reference():
+    model = interval(1.0, "absorbing", "injection", phi=1.0)
+    killing = KillingMeasure.uniform(4.0)
+    config = cfg(dt=1e-2, n_trajectories=800, seed=2)
+    ratio, se = montecarlo.simulate_rs(model, killing, config)
+    reflected = interval(1.0, "absorbing", "reflecting")
+    ref = _reference_worker((reflected, killing, 1.0, config, config.n_trajectories, 0))
+    expected = montecarlo.split_from_outcomes(montecarlo.TrajectoryOutcomes(*ref))
+    assert (ratio, se) == (expected.ratio_rinf, expected.ratio_rinf_se)
