@@ -37,8 +37,9 @@ Every subcommand parses its config, calls the library and writes the
 result.  `analytic` and `split --method analytic` write what
 `crosscheck.closed_forms` returns (the split writes NaN for a mean time it
 has no form for); closed forms hold only without drift.
-`mc` runs one simulation and takes the survival curve, the kill-location
-histogram (skipped when nothing was killed) and the split from it.
+`mc` runs one simulation and takes the survival curve (at up to `--points`
+multiples of `mc_dt`), the kill-location histogram (skipped when nothing
+was killed) and the split from it.
 
 `[initial] y` is the point every route starts from; no other initial
 condition exists.  `sweep --param v0` sets uniform killing at each value and
@@ -459,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo simulation")
     p.add_argument("config")
     p.add_argument(
-        "--points", type=_positive_int, default=50, help="survival curve sample count"
+        "--points", type=_positive_int, default=50,
+        help="survival curve sample count (at most one per MC step)",
     )
     p.add_argument("--histogram", action="store_true", help="emit kill-location histogram")
     p.set_defaults(func=_cmd_mc)

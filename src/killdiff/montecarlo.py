@@ -29,9 +29,15 @@ made for that bridge:
 
 Ignored within a step: the interaction of a spot or of the killing with a
 reflecting end (x1 is reflected first, and the bridge runs to the reflected
-point) and, for several spots, the dependence of their local times.  Every
-event is recorded at the end of its step (time step*dt), so a mean time is
-high by at most dt/2.
+point) and, for several spots, the dependence of their local times.
+
+Every event is recorded at the end of its step (`TrajectoryOutcomes.time`
+= step*dt), so it lies in (time - dt, time].  The estimators use that:
+`split_from_outcomes` takes each event at its step's midpoint, time - dt/2,
+which leaves mean times high by about (dt^2/12) f(0+), f(0+) the density of
+event times at t = 0 (v0 for uniform killing, 0 for a start away from the
+ends and spots); `survival_curve` evaluates S only at multiples of dt,
+where counting step ends is exact.
 
 Worker streams are counter-based (Philox keyed by (seed, worker index)) and
 reduced in worker order, so results are bit-identical for a fixed
@@ -45,9 +51,10 @@ kill positions are computed only on the few trajectories with an event.
 At about 700 live trajectories each call's fixed cost weighs as much as its
 arithmetic, so a trajectory-step costs about twice the plain Euler step
 with end checks at the step's end (158 vs 77 raw ns on a shared 2-core
-host, `bench/run.py --workload matrix --trace 1`); the exact decisions pay for it by
-allowing steps 5-20 times larger at the same accuracy (5.0 million
-trajectory-steps on the crosscheck matrix instead of 63 million).
+host, `bench/run.py --workload matrix --trace 1`); the exact decisions and
+the midpoint estimator pay for it by allowing steps 20-80 times larger at
+the same accuracy (0.88 million trajectory-steps on the crosscheck matrix
+instead of 63 million).
 """
 
 from __future__ import annotations
@@ -93,11 +100,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class TrajectoryOutcomes:
-    """Per-trajectory fate (killed/absorbed), termination time and position."""
+    """Per-trajectory fate (killed/absorbed), termination time and position.
+
+    `time` is the end of the step in which the event fell: the event lies in
+    (time - dt, time]."""
 
     fate: np.ndarray  # uint8, FATE_KILLED or FATE_ABSORBED
     time: np.ndarray
     position: np.ndarray
+    dt: float  # the simulation step
 
     @property
     def n(self) -> int:
@@ -343,10 +354,12 @@ def simulate_outcomes(
     fate = np.concatenate([p[0] for p in parts])
     time = np.concatenate([p[1] for p in parts])
     pos = np.concatenate([p[2] for p in parts])
-    return TrajectoryOutcomes(fate, time, pos)
+    return TrajectoryOutcomes(fate, time, pos, cfg.dt)
 
 
 def split_from_outcomes(out: TrajectoryOutcomes) -> SplitStatistics:
+    """Split statistics of the outcomes.  The conditional mean times take
+    each event at the midpoint of its step, time - dt/2."""
     n = out.n
     nk = int(np.count_nonzero(out.killed))
     na = n - nk
@@ -359,7 +372,7 @@ def split_from_outcomes(out: TrajectoryOutcomes) -> SplitStatistics:
         if cnt == 0:
             return math.nan, 0.0
         vals = out.time[mask]
-        mean = float(np.mean(vals))
+        mean = float(np.mean(vals)) - out.dt / 2
         se = float(np.std(vals, ddof=1) / math.sqrt(cnt)) if cnt > 1 else 0.0
         return mean, se
 
@@ -425,11 +438,17 @@ def simulate_rs(
 def survival_curve(
     out: TrajectoryOutcomes, points: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical survivor function of min(T, tau) at `points` evenly spaced
-    times up to the last termination, with pointwise binomial standard
-    errors."""
-    times = float(out.time.max()) * np.arange(1, points + 1) / points
+    """Empirical survivor function of min(T, tau) at up to `points` evenly
+    spaced multiples of dt, at most one per step, ending at the last
+    termination, with pointwise binomial standard errors.
+
+    An event at step j (time j*dt) fell in ((j - 1) dt, j dt], so the
+    fraction of step counts above k is exactly S(k dt); steps are compared as
+    whole numbers, so round-off cannot move an event across a point."""
+    steps = np.rint(out.time / out.dt).astype(np.int64)
+    last = int(steps.max())
+    at = np.unique(-(-last * np.arange(1, points + 1) // points))  # ceil(last i / points)
     n = out.n
-    s = np.array([np.count_nonzero(out.time > t) / n for t in times])
+    s = np.array([np.count_nonzero(steps > k) for k in at]) / n
     se = np.sqrt(s * (1 - s) / n)
-    return times, s, se
+    return at * out.dt, s, se

@@ -66,6 +66,13 @@ def test_default_matrix_spans_killing_kinds():
     assert len(default_matrix()) == 12
 
 
+def test_green_rinf_band_is_a_few_sigma():
+    (sc,) = [s for s in default_matrix(seed=0) if s.name == "green-rinf"]
+    (row,) = [r for r in run_matrix(scenarios=[sc]).rows if r.method_b == "mc"]
+    assert row.passed
+    assert row.tol / row.sigma <= 4
+
+
 def test_report_csv_is_deterministic(tmp_path):
     report = run_matrix(scenarios=small_scenarios())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

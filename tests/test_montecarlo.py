@@ -146,9 +146,30 @@ def test_survival_curve_monotone_and_bounded():
 
 def test_survival_curve_point_count_ends_at_the_last_termination():
     out = montecarlo.simulate_outcomes(interval(2.0), KillingMeasure.uniform(1.0), 0.7, cfg())
+    last = round(out.time.max() / out.dt)
     times, s, _ = montecarlo.survival_curve(out, np.int64(4))
-    assert times.tolist() == [out.time.max() * i / 4 for i in (1, 2, 3, 4)]
+    assert times.tolist() == [math.ceil(last * i / 4) * out.dt for i in (1, 2, 3, 4)]
     assert s[-1] == 0.0
+
+
+def test_survival_curve_takes_at_most_one_point_per_step():
+    out = montecarlo.TrajectoryOutcomes(
+        np.zeros(4, dtype=np.uint8), np.array([1, 2, 3, 3]) * 0.1, np.zeros(4), 0.1
+    )
+    times, s, _ = montecarlo.survival_curve(out, 50)
+    assert times == pytest.approx([0.1, 0.2, 0.3])
+    assert s.tolist() == [0.75, 0.5, 0.0]
+
+
+def test_survival_curve_is_the_exponential_law_at_a_large_step():
+    # uniform killing far from the ends of a wide line: S(t) = exp(-v0 t)
+    v0, dt = 1.0, 0.05
+    out = montecarlo.simulate_outcomes(
+        interval(40.0), KillingMeasure.uniform(v0), 20.0, cfg(dt=dt, n_trajectories=20000)
+    )
+    times, s, _ = montecarlo.survival_curve(out, 40)
+    exact = np.exp(-v0 * times)
+    assert np.all(np.abs(s - exact) <= 3 * np.sqrt(exact * (1 - exact) / out.n))
 
 
 def test_huge_spot_still_leaves_survivors():
@@ -267,13 +288,32 @@ def test_point_killing_split_has_no_step_bias(dt):
     assert abs(stats.p_killed - exact) <= 3 * stats.p_killed_se
 
 
-@pytest.mark.parametrize("dt", [0.01, 0.02, 0.04])
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.04, 0.08])
 def test_bridged_exits_give_the_mean_exit_time(dt):
+    # a start away from the ends: no exit near t = 0, so the midpoint leaves no bias
     L, y, D = PI, 1.0, 1.0
     stats = montecarlo.simulate_split(interval(L), KillingMeasure.zero(), y, cfg(dt=dt, n_trajectories=40000))
     exact = y * (L - y) / (2 * D)
-    # events are recorded at the end of their step: at most dt/2 late on average
-    assert abs(stats.mean_absorb_time - exact) <= 3 * stats.mean_absorb_time_se + dt / 2
+    assert abs(stats.mean_absorb_time - exact) <= 3 * stats.mean_absorb_time_se
+
+
+def test_midpoint_kill_time_at_a_large_step():
+    # uniform killing in a reflecting box: T ~ Exp(v0), and the midpoint
+    # estimator of E[T] is high by (dt^2/12) f(0+) = dt^2 v0/12
+    v0, dt = 2.0, 0.08
+    model = interval(1.0, "reflecting", "reflecting")
+    stats = montecarlo.simulate_split(model, KillingMeasure.uniform(v0), 0.5, cfg(dt=dt, n_trajectories=40000))
+    assert abs(stats.mean_kill_time - 1 / v0) <= 3 * stats.mean_kill_time_se + dt * dt * v0 / 12
+
+
+def test_split_takes_each_event_at_its_step_midpoint():
+    fate = np.array([FATE_KILLED, FATE_KILLED, FATE_ABSORBED, FATE_ABSORBED, FATE_ABSORBED], dtype=np.uint8)
+    steps = np.array([1, 3, 2, 4, 9])
+    out = montecarlo.TrajectoryOutcomes(fate, steps * 0.25, np.zeros(5), 0.25)
+    stats = montecarlo.split_from_outcomes(out)
+    assert stats.mean_kill_time == pytest.approx((0.125 + 0.625) / 2)
+    assert stats.mean_absorb_time == pytest.approx((0.375 + 0.875 + 2.125) / 3)
+    assert stats.mean_kill_time_se == pytest.approx(np.std([0.25, 0.75], ddof=1) / math.sqrt(2))
 
 
 # --- the per-step kernel against a straightforward statement of it ---------------
@@ -427,7 +467,7 @@ def test_worker_is_draw_for_draw_the_reference(left, right, kill, drift, dt):
     model = interval(1.0, left, right, drift=drift)
     config = cfg(dt=dt, n_trajectories=300, seed=5)
     args = (model, killing, 0.35, config, config.n_trajectories, 1)
-    out = montecarlo.TrajectoryOutcomes(*montecarlo._simulate_worker(args))
+    out = montecarlo.TrajectoryOutcomes(*montecarlo._simulate_worker(args), config.dt)
     _assert_same_outcomes(out, _reference_worker(args))
 
 
@@ -446,5 +486,5 @@ def test_steady_ratio_matches_the_reference():
     ratio, se = montecarlo.simulate_rs(model, killing, config)
     reflected = interval(1.0, "absorbing", "reflecting")
     ref = _reference_worker((reflected, killing, 1.0, config, config.n_trajectories, 0))
-    expected = montecarlo.split_from_outcomes(montecarlo.TrajectoryOutcomes(*ref))
+    expected = montecarlo.split_from_outcomes(montecarlo.TrajectoryOutcomes(*ref, config.dt))
     assert (ratio, se) == (expected.ratio_rinf, expected.ratio_rinf_se)
