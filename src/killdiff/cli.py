@@ -34,9 +34,10 @@ CSV schemas (stable):
                    sigma,tol,passed,note
 
 Every subcommand parses its config, calls the library and writes the
-result.  `analytic` and `split --method analytic` write what
-`crosscheck.closed_forms` returns (the split writes NaN for a mean time it
-has no form for); closed forms hold only without drift.
+result.  `analytic`, `split --method analytic` and the analytic rows of a
+steady `sweep` write what `crosscheck.closed_forms` returns (the split
+writes NaN for a mean time it has no form for); closed forms hold only
+without drift.
 `mc` runs one simulation and takes the survival curve (at up to `--points`
 multiples of `mc_dt`), the kill-location histogram (skipped when nothing
 was killed) and the split from it.
@@ -50,8 +51,8 @@ refuses a steady scenario, whose injected state has no start point.
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
 error (including a count below 1), no closed form, or an input the library
 refuses with a `model.InputError` (e.g. the wrong ends for
-`pde --mode steady|green`, or a grid too coarse for the drift: cell Peclet
-number |drift|*dx/(2d) not below 1); `sweep` names the swept value that was
+`pde --mode steady|green`, or drift that traps the mass at a closed end
+beyond double precision); `sweep` names the swept value that was
 refused.  Any other exception is a fault and keeps its traceback.  Identical
 invocations with identical seeds and worker counts produce byte-identical
 output files.
@@ -394,6 +395,9 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError("the steady state has no start point to sweep")
             if steady:
                 sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
+                closed = crosscheck.closed_forms(sub.model, sub.killing, sub.y)
+                if "ratio_rs" in closed:
+                    rows.append((args.param, v, "ratio_rs", "analytic", closed["ratio_rs"]))
                 rows.append((args.param, v, "ratio_rs", "pde", sol.ratio_rs))
             else:
                 require_valid(sub.model, sub.killing, InitialCondition.point(sub.y))

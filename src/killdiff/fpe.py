@@ -1,7 +1,8 @@
 """Finite-difference Fokker-Planck solver with a killing reaction term.
 
 Discretization: node-centered finite volumes on [0, L] (half cells at
-reflecting/injection ends), face fluxes J = -D dp/dx + a p, Crank-Nicolson in
+reflecting/injection ends), face fluxes J = -D dp/dx + a p in the
+Scharfetter-Gummel form (exact for constant drift), Crank-Nicolson in
 time with the killing rate folded implicitly into the diagonal.  Point
 killings, point sources and the point start are split position-weighted
 across the two bracketing nodes.  States live on the unknown nodes (an
@@ -10,11 +11,9 @@ density is returned.  Survival, kill rate and absorbed flux are the three
 rows of one weight matrix applied to a state, on every route.  The scheme's
 discrete conservation identity dS/dt = -killRate - boundaryFlux holds to
 round-off, which is what makes the absorbed/killed bookkeeping in
-`split_statistics` exact.  The central drift flux needs a cell Peclet number
-|a| dx / (2D) below 1; coarser grids are refused with `GridResolutionError`,
-an `InputError`.
+`split_statistics` exact; each solve checks it (`_Discretization.solve`).
 
-Below that bound a diagonal similarity S makes the operator A symmetric,
+At every drift a diagonal similarity S makes the operator A symmetric,
 and a Crank-Nicolson step multiplies eigenmode j by
 r_j = (1 + dt lam_j/2) / (1 - dt lam_j/2).  `evolve` uses this: survival,
 kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed for all
@@ -58,13 +57,12 @@ _EIG_BLOCK = 64
 _CHUNK = 128
 # the spectral route runs when its round-off bound is at most this times S(0)
 _SPECTRAL_ROUNDOFF = 1e-10
+# largest relative miss of a solve's balance kill + absorbed = inflow; a
+# sound solve misses by round-off, under 1e-10 on every shipped scenario
+_BALANCE_BOUND = 1e-8
 # widest log-range of the similarity that keeps S, S^-1 and the mode weights
 # finite; sums over so non-normal an operator would fail the bound anyway
 _MAX_LOG_SIMILARITY = 600.0
-
-
-class GridResolutionError(InputError):
-    """The grid is too coarse for the problem."""
 
 
 @dataclass(frozen=True)
@@ -116,32 +114,29 @@ class GreenSteadyResult:
     ratio_rinf: float
 
 
+def _bernoulli(x: float) -> float:
+    """B(x) = x / (e^x - 1), B(0) = 1, without overflow at large x."""
+    if x > 0:
+        return x * math.exp(-x) / -math.expm1(-x)
+    return x / math.expm1(x) if x else 1.0
+
+
 class _Discretization:
     """Spatial operator dp/dt = A p + s on the unknown nodes."""
 
     def __init__(self, model: DiffusionModel, killing: KillingMeasure, n_cells: int):
         dom = model.domain
-        L = dom.length
+        L, D, a = dom.length, model.diffusion, model.drift
         self.n = n_cells
-        self.dx = L / n_cells
+        self.dx = dx = L / n_cells
         self.x = np.linspace(0.0, L, n_cells + 1)
         self.left_kind = dom.left.kind
         self.right_kind = dom.right.kind
-        self.D = model.diffusion
-        self.a = model.drift
-        # central drift fluxes keep lower * upper > 0 (an M-matrix with a
-        # symmetrizing similarity) only below cell Peclet 1
-        self.peclet = abs(self.a) * self.dx / (2 * self.D)
-        if self.peclet >= 1:
-            need = math.floor(abs(self.a) * L / (2 * self.D)) + 1
-            raise GridResolutionError(
-                f"cell Peclet number |a|*dx/(2D) = {self.peclet:.4g} is not below 1 "
-                f"with {n_cells} cells; drift {self.a:g} needs at least {need} cells"
-            )
+        self.peclet = abs(a) * dx / (2 * D)
 
         # trapezoid / finite-volume node weights
-        self.h = np.full(n_cells + 1, self.dx)
-        self.h[0] = self.h[-1] = self.dx / 2
+        self.h = np.full(n_cells + 1, dx)
+        self.h[0] = self.h[-1] = dx / 2
 
         # killing rate per node; point spots become k/dx-style sinks split
         # over the bracketing nodes so that sum(h * k * p) reproduces k*p(xs)
@@ -149,19 +144,23 @@ class _Discretization:
         for xs, ks in killing.spots:
             self.k += self.point_mass(xs, ks)
 
-        self.i0 = 1 if self.left_kind is BoundaryKind.ABSORBING else 0
-        self.i1 = n_cells - 1 if self.right_kind is BoundaryKind.ABSORBING else n_cells
-        self.unknowns = slice(self.i0, self.i1 + 1)
-        self.m = self.i1 - self.i0 + 1
+        i0 = 1 if self.left_kind is BoundaryKind.ABSORBING else 0
+        i1 = n_cells - 1 if self.right_kind is BoundaryKind.ABSORBING else n_cells
+        self.unknowns = slice(i0, i1 + 1)
+        self.m = i1 - i0 + 1
         if self.m < 3:
-            raise GridResolutionError("grid too coarse for the boundary configuration")
+            raise InputError("grid too coarse for the boundary configuration")
 
-        # interior stencil, then the half-cell row of a reflecting or
-        # injection end: no flux, or the prescribed inward flux as a source
-        D, a, dx = self.D, self.a, self.dx
-        lo = np.full(self.m - 1, (D / dx + a / 2) / dx)
-        di = np.full(self.m, -2 * D / dx**2)
-        up = np.full(self.m - 1, (D / dx - a / 2) / dx)
+        # the Scharfetter-Gummel face flux F = fwd p_left - bwd p_right is
+        # exact for constant drift and keeps A an M-matrix with
+        # lower * upper > 0 at any drift.  The interior stencil, then the
+        # half-cell row of a reflecting or injection end: no flux, or the
+        # prescribed inward flux as a source
+        pe = a * dx / D
+        fwd, bwd = D / dx * _bernoulli(-pe), D / dx * _bernoulli(pe)
+        lo = np.full(self.m - 1, fwd / dx)
+        di = np.full(self.m, -D / dx**2 * (_bernoulli(pe) + _bernoulli(-pe)))
+        up = np.full(self.m - 1, bwd / dx)
         self.source = np.zeros(self.m)
         # the observables are weights @ u for u on the unknown nodes:
         # survival sum h u, kill rate sum h k u, and the outward flux
@@ -170,19 +169,19 @@ class _Discretization:
         self.weights[0] = self.h[self.unknowns]
         self.weights[1] = (self.h * self.k)[self.unknowns]
         if self.left_kind is BoundaryKind.ABSORBING:
-            self.weights[2, 0] = D / dx - a / 2
+            self.weights[2, 0] = bwd
         else:
             h = self.h[0]
-            di[0] = (-D / dx - a / 2) / h
-            up[0] = (D / dx - a / 2) / h
+            di[0] = -fwd / h
+            up[0] = bwd / h
             if self.left_kind is BoundaryKind.INJECTION:
                 self.source[0] = dom.left.phi / h
         if self.right_kind is BoundaryKind.ABSORBING:
-            self.weights[2, -1] = D / dx + a / 2
+            self.weights[2, -1] = fwd
         else:
             h = self.h[-1]
-            di[-1] = (-D / dx + a / 2) / h
-            lo[-1] = (D / dx + a / 2) / h
+            di[-1] = -bwd / h
+            lo[-1] = fwd / h
             if self.right_kind is BoundaryKind.INJECTION:
                 self.source[-1] = dom.right.phi / h
         di -= self.k[self.unknowns]
@@ -211,11 +210,22 @@ class _Discretization:
         return p
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(-A)^-1 rhs on the unknown nodes."""
+        """(-A)^-1 rhs on the unknown nodes, refused when its kill plus
+        absorption misses the mass rhs puts in by over _BALANCE_BOUND: drift
+        then holds mass, growing like exp(|a| L / D), at an undrained end."""
         try:
-            return solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
-        except SingularSystemError as exc:  # pragma: no cover - valid problems are nonsingular
-            raise AccuracyError(f"tridiagonal solve failed: {exc}") from exc
+            u = solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
+        except SingularSystemError:
+            u = np.full(self.m, math.nan)
+        inflow = float(self.weights[0] @ rhs)
+        _, kill, absorbed = (self.weights @ u).tolist()
+        residual = abs(kill + absorbed - inflow) / inflow
+        if not residual <= _BALANCE_BOUND:
+            raise InputError(
+                f"kill + absorption misses the mass put in by {residual:.3g} relative "
+                f"(bound {_BALANCE_BOUND:g}): drift traps the mass against a closed end"
+            )
+        return u
 
     def initial_vector(self, ic: InitialCondition) -> np.ndarray:
         """Unit mass at ic.y on the unknown nodes."""
@@ -293,7 +303,8 @@ def _eigenmodes(
     c.u* + sum_j w_j r_j^n with w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
 
     The eigenvectors are found in blocks by inverse iteration and never held
-    together.  The round-off of the sums is bounded by eps sum_j |w_j|, the
+    together.  The round-off of the sums and of the eigenvectors is bounded
+    by eps |S^-1 c| |S (u_0 - u*)|, which is at least eps sum_j |w_j|, the
     rates' bound scaled by dt to a per-step probability; it is large when
     drift makes S far from the identity.  None when no similarity is
     representable, the steady state does not exist or inverse iteration
@@ -302,9 +313,10 @@ def _eigenmodes(
     if np.ptp(log_s) > _MAX_LOG_SIMILARITY:
         return None
     if disc.source.any():
-        if BoundaryKind.ABSORBING not in (disc.left_kind, disc.right_kind) and not disc.k.any():
-            return None  # A is singular: the injected mass grows without bound
-        steady = disc.solve(disc.source)
+        try:
+            steady = disc.solve(disc.source)
+        except InputError:
+            return None  # the injected mass grows without bound, or beyond double precision
     else:
         steady = np.zeros(disc.m)
     s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
@@ -330,7 +342,8 @@ def _eigenmodes(
         z_modes[blk] = v.T @ z_s
         z_kept += v @ (z_modes[blk, None] * r[blk, None] ** powers)
     weights = c_modes * z_modes[:, None]
-    bound = float(np.finfo(float).eps * np.max(np.abs(weights).sum(axis=0) * (1.0, dt, dt)))
+    scale = np.linalg.norm(c_s, axis=0) * np.linalg.norm(z_s) * (1.0, dt, dt)
+    bound = float(np.finfo(float).eps * np.max(scale))
     kept = {int(n): steady + z_kept[:, i] / s for i, n in enumerate(powers)}
     return _Modes(r, weights, c @ steady, kept, bound)
 
@@ -390,7 +403,7 @@ def split_statistics(
     y2 = (-A)^-1 y1 for every dt, so only grid.cell_count matters; dt and
     t_max do not.  The kill and absorption rates of y1 give the split
     probabilities, those of y2 the time moments; p_killed + p_absorbed =
-    S(0) holds to round-off and is normalized to 1."""
+    S(0) holds to round-off, or the solve is refused, and is normalized to 1."""
     require_valid(model, killing, ic)
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
@@ -403,16 +416,9 @@ def split_statistics(
     u0 = disc.initial_vector(ic)
     y1 = disc.solve(u0)
     y2 = disc.solve(y1)
-    _, kill1, absorbed1 = (disc.weights @ y1).tolist()
-    _, kill2, absorbed2 = (disc.weights @ y2).tolist()
-
-    # normalize away any initial-hat mass defect
-    s0 = float(disc.weights[0] @ u0)
-    norm = s0 if s0 > 0 else 1.0
-    p_killed = kill1 / norm
-    p_absorbed = absorbed1 / norm
-    t_killed = kill2 / norm
-    t_absorbed = absorbed2 / norm
+    s0 = float(disc.weights[0] @ u0)  # normalizes away any initial-hat mass defect
+    _, p_killed, p_absorbed = (disc.weights @ y1 / s0).tolist()
+    _, t_killed, t_absorbed = (disc.weights @ y2 / s0).tolist()
 
     mean_kill = t_killed / p_killed if p_killed > 0 else math.nan
     mean_abs = t_absorbed / p_absorbed if p_absorbed > 0 else math.nan

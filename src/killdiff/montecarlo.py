@@ -408,28 +408,16 @@ def simulate_rs(
 ) -> Tuple[float, float]:
     """Steady-injection absorbed/killed ratio with its standard error.
 
-    Each trajectory starts at the injection end, which is reflecting for the
-    live particle; the fate split of injected particles reproduces the
-    steady flux ratio by linearity."""
-    require_valid(model, killing)
+    Each trajectory starts at the injection end, which reflects the live
+    particle as every end that is not absorbing does; the fate split of
+    injected particles reproduces the steady flux ratio by linearity."""
     dom = model.domain
     kinds = (dom.left.kind, dom.right.kind)
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
         raise InputError("R_s simulation needs exactly one injection and one absorbing end")
     y0 = 0.0 if dom.left.kind is BoundaryKind.INJECTION else dom.length
-    # the injection boundary behaves as reflecting for the live particle
-    reflect = DiffusionModel(
-        dom.__class__(
-            dom.length,
-            dom.left if dom.left.kind is not BoundaryKind.INJECTION else dom.left.reflecting(),
-            dom.right if dom.right.kind is not BoundaryKind.INJECTION else dom.right.reflecting(),
-        ),
-        model.diffusion,
-        model.drift,
-    )
-    out = simulate_outcomes(reflect, killing, y0, cfg)
-    nk = int(np.count_nonzero(out.killed))
-    if nk == 0:
+    out = simulate_outcomes(model, killing, y0, cfg)
+    if not out.killed.any():
         raise AccuracyError("no kill events; the ratio estimator is undefined")
     stats = split_from_outcomes(out)
     return stats.ratio_rinf, stats.ratio_rinf_se

@@ -64,12 +64,11 @@ def sum_with_tail_bound(
 def solve_tridiagonal(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system.
+    """Solve a tridiagonal system with `scipy.linalg.solve_banded`, which for
+    (1, 1) bands is LAPACK gtsv: Gaussian elimination with partial pivoting.
 
     lower has length n-1 (sub-diagonal), diag length n, upper length n-1.
-    No pivoting: intended for the diagonally dominant systems produced by the
-    discretizations in this package.  Raises SingularSystemError on a zero
-    pivot.
+    Raises SingularSystemError when elimination meets an exactly zero pivot.
     """
     diag = np.asarray(diag, dtype=float)
     lower = np.asarray(lower, dtype=float)

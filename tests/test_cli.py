@@ -183,8 +183,25 @@ cells = 200
     assert main(["--out", str(out), "sweep", path, "--param", "length", "--values", "0.5,1.0,2.0"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "param,value,observable,method,result"
-    ratios = [float(ln.split(",")[-1]) for ln in lines[1:]]
+    ratios = [float(ln.split(",")[-1]) for ln in lines[1:] if ln.split(",")[3] == "pde"]
+    assert len(ratios) == 3
     assert ratios == sorted(ratios, reverse=True)
+
+
+def test_sweep_writes_the_closed_form_ratio_beside_the_pde_one(tmp_path):
+    # the neck-length sweep: steady injection against uniform killing v0 = 4
+    # on 800 cells, and the closed form 1 / (cosh(2L) - 1)
+    lengths = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
+    out = tmp_path / "out"
+    argv = ["sweep", os.path.join(SCENARIOS, "steady_uniform.ini"), "--param", "length"]
+    assert main(["--out", str(out)] + argv + ["--values", ",".join(map(str, lengths))]) == 0
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(float(r[1]), r[2], r[3]) for r in rows] == [
+        (L, "ratio_rs", m) for L in lengths for m in ("analytic", "pde")
+    ]
+    for (_, _, _, _, closed), (_, _, _, _, pde), L in zip(rows[::2], rows[1::2], lengths):
+        assert float(closed) == pytest.approx(1 / (math.cosh(2 * L) - 1), rel=1e-12)
+        assert float(pde) == pytest.approx(float(closed), rel=2e-5)
 
 
 def test_mc_survival_and_split(tmp_path):
@@ -230,19 +247,83 @@ def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, value, command
     assert value in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["pde"], ["split", "--method", "pde"], ["sweep", "--param", "drift", "--values", "0.5,60"]],
-    ids=["pde", "split", "sweep"],
-)
-def test_grid_too_coarse_for_drift_exits_two(tmp_path, capsys, argv):
-    coarse = MINIMAL.replace("cells = 100", "cells = 16\nmethod = pde")
-    path = write(tmp_path, coarse + "\n[diffusion]\ndrift = 60.0\n")
-    assert main(["--out", str(tmp_path / "out"), argv[0], path] + argv[1:]) == 2
+# drift that holds the mass against a closed end with nothing to drain it
+# there: the steady mass and the mean exit time grow like exp(|a| L / D)
+TRAPPED_SPLIT = """
+[domain]
+length = 1.0
+left = reflecting
+right = absorbing
+
+[diffusion]
+d = 0.7
+drift = -29.4
+
+[initial]
+y = 0.5
+
+[method]
+method = pde
+cells = {cells}
+"""
+
+TRAPPED_STEADY = """
+[domain]
+length = 1.0
+left = {left}
+right = injection
+phi = 1.0
+
+[diffusion]
+drift = 80.0
+
+[killing]
+kind = {killing}
+
+[method]
+cells = {cells}
+t_max = 1.0
+"""
+
+
+@pytest.mark.parametrize("cells", [100, 400, 1600])
+def test_trapped_split_exits_two(tmp_path, capsys, cells):
+    path = write(tmp_path, TRAPPED_SPLIT.format(cells=cells))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "split", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "cell Peclet number" in err
-    assert ("drift=60.0: " in err) == (argv[0] == "sweep")
+    assert "kill + absorption misses the mass put in" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pde", "--mode", "steady"], ["sweep", "--param", "drift", "--values", "0,80"]],
+    ids=["pde", "sweep"],
+)
+def test_trapped_steady_state_exits_two(tmp_path, capsys, argv):
+    text = TRAPPED_STEADY.format(left="absorbing", killing="zero", cells=200)
+    path = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), argv[0], path] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "kill + absorption misses the mass put in" in err
+    assert ("drift=80.0: " in err) == (argv[0] == "sweep")
+    assert not out.exists()
+
+
+def test_trapped_evolution_is_stepped(tmp_path):
+    # the steady solve that the eigenbasis route needs is refused, so the
+    # scheme is stepped; at 64 cells that solve once failed outright
+    text = TRAPPED_STEADY.format(left="reflecting", killing="dirac\nspots = 0.5:1.0", cells=64)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "pde", write(tmp_path, text + "[initial]\ny = 0.3\n")]) == 0
+    rows = (out / "survival.csv").read_text().splitlines()[1:]
+    survival = [float(row.split(",")[1]) for row in rows]
+    assert len(survival) == 101
+    assert all(math.isfinite(v) and v > 0 for v in survival)
 
 
 @pytest.mark.parametrize(
