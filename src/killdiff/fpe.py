@@ -57,9 +57,10 @@ _EIG_BLOCK = 64
 _CHUNK = 128
 # the spectral route runs when its round-off bound is at most this times S(0)
 _SPECTRAL_ROUNDOFF = 1e-10
-# largest relative miss of a solve's balance kill + absorbed = inflow; a
-# sound solve misses by round-off, under 1e-10 on every shipped scenario
-_BALANCE_BOUND = 1e-8
+# a solve's balance kill + absorbed = inflow misses by round-off, eps |A| T
+# for mass staying a time T: 4 eps n^2 on n cells if T ~ L^2/D.  A miss
+# over 1e-8 and 16 eps n^2 marks mass held far longer: drift traps it
+_BALANCE_BOUND, _BALANCE_ROUNDOFF = 1e-8, 16.0
 # widest log-range of the similarity that keeps S, S^-1 and the mode weights
 # finite; sums over so non-normal an operator would fail the bound anyway
 _MAX_LOG_SIMILARITY = 600.0
@@ -209,23 +210,25 @@ class _Discretization:
         p[self.unknowns] = u
         return p
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(-A)^-1 rhs on the unknown nodes, refused when its kill plus
-        absorption misses the mass rhs puts in by over _BALANCE_BOUND: drift
-        then holds mass, growing like exp(|a| L / D), at an undrained end."""
+    def solve(self, rhs: np.ndarray) -> Tuple[np.ndarray, list]:
+        """u = (-A)^-1 rhs on the unknown nodes and weights @ u, refused
+        when kill plus absorption misses the mass rhs puts in by over the
+        balance bound: drift holds mass exp(|a| L / D) at an undrained end."""
         try:
             u = solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
         except SingularSystemError:
             u = np.full(self.m, math.nan)
+        _, kill, absorbed = obs = (self.weights @ u).tolist()
         inflow = float(self.weights[0] @ rhs)
-        _, kill, absorbed = (self.weights @ u).tolist()
         residual = abs(kill + absorbed - inflow) / inflow
-        if not residual <= _BALANCE_BOUND:
+        bound = max(_BALANCE_BOUND, _BALANCE_ROUNDOFF * np.finfo(float).eps * self.n**2)
+        if not residual <= bound:
+            miss = f"by {residual:.3g} relative" if math.isfinite(residual) else "(not finite)"
             raise InputError(
-                f"kill + absorption misses the mass put in by {residual:.3g} relative "
-                f"(bound {_BALANCE_BOUND:g}): drift traps the mass against a closed end"
+                f"kill + absorption misses the mass put in {miss}, bound {bound:.3g}: "
+                "drift traps the mass against a closed end"
             )
-        return u
+        return u, obs
 
     def initial_vector(self, ic: InitialCondition) -> np.ndarray:
         """Unit mass at ic.y on the unknown nodes."""
@@ -303,22 +306,23 @@ def _eigenmodes(
     c.u* + sum_j w_j r_j^n with w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
 
     The eigenvectors are found in blocks by inverse iteration and never held
-    together.  The round-off of the sums and of the eigenvectors is bounded
-    by eps |S^-1 c| |S (u_0 - u*)|, which is at least eps sum_j |w_j|, the
-    rates' bound scaled by dt to a per-step probability; it is large when
-    drift makes S far from the identity.  None when no similarity is
-    representable, the steady state does not exist or inverse iteration
-    fails."""
+    together.  Their round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|,
+    the rates' scaled by dt to a per-step probability: at least
+    eps sum_j |w_j|, large when drift makes S far from the identity, and an
+    estimate, not a bound: against the stepped scheme it held up to an
+    absolute floor of 1.6e-13 from the eigenvectors' orthogonality.  None
+    when no similarity is representable, the steady state does not exist or
+    inverse iteration fails."""
     e, log_s = disc.symmetric_form()
     if np.ptp(log_s) > _MAX_LOG_SIMILARITY:
         return None
     if disc.source.any():
         try:
-            steady = disc.solve(disc.source)
+            steady, steady_obs = disc.solve(disc.source)
         except InputError:
             return None  # the injected mass grows without bound, or beyond double precision
     else:
-        steady = np.zeros(disc.m)
+        steady, steady_obs = np.zeros(disc.m), [0.0] * 3
     s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
     c = disc.weights
     lam = eigvalsh_tridiagonal(disc.diag, e)
@@ -345,7 +349,7 @@ def _eigenmodes(
     scale = np.linalg.norm(c_s, axis=0) * np.linalg.norm(z_s) * (1.0, dt, dt)
     bound = float(np.finfo(float).eps * np.max(scale))
     kept = {int(n): steady + z_kept[:, i] / s for i, n in enumerate(powers)}
-    return _Modes(r, weights, c @ steady, kept, bound)
+    return _Modes(r, weights, np.array(steady_obs), kept, bound)
 
 
 def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int) -> np.ndarray:
@@ -414,11 +418,11 @@ def split_statistics(
 
     disc = _Discretization(model, killing, grid.cell_count)
     u0 = disc.initial_vector(ic)
-    y1 = disc.solve(u0)
-    y2 = disc.solve(y1)
+    y1, obs1 = disc.solve(u0)
+    obs2 = disc.solve(y1)[1]
     s0 = float(disc.weights[0] @ u0)  # normalizes away any initial-hat mass defect
-    _, p_killed, p_absorbed = (disc.weights @ y1 / s0).tolist()
-    _, t_killed, t_absorbed = (disc.weights @ y2 / s0).tolist()
+    _, p_killed, p_absorbed = (o / s0 for o in obs1)
+    _, t_killed, t_absorbed = (o / s0 for o in obs2)
 
     mean_kill = t_killed / p_killed if p_killed > 0 else math.nan
     mean_abs = t_absorbed / p_absorbed if p_absorbed > 0 else math.nan
@@ -437,9 +441,8 @@ def steady_state(
     if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
         raise InputError("steady state needs exactly one injection and one absorbing end")
     disc = _Discretization(model, killing, grid.cell_count)
-    u = disc.solve(disc.source)
+    u, (_, kill, absorbed) = disc.solve(disc.source)
     injected = dom.left.phi if dom.left.kind is BoundaryKind.INJECTION else dom.right.phi
-    _, kill, absorbed = (disc.weights @ u).tolist()
     ratio = absorbed / kill if kill > 0 else math.inf
     return SteadyStateSolution(disc.x, disc.full(u), absorbed, injected, kill, ratio)
 
@@ -459,8 +462,7 @@ def green_steady(
     if not (0 < source < dom.length):
         raise InputError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
-    g = disc.solve(disc.point_mass(source)[disc.unknowns])
-    _, kill, absorbed = (disc.weights @ g).tolist()
+    g, (_, kill, absorbed) = disc.solve(disc.point_mass(source)[disc.unknowns])
     ratio = absorbed / kill if kill > 0 else math.inf
     return GreenSteadyResult(disc.x, disc.full(g), absorbed, kill, ratio)
 
