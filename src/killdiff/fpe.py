@@ -61,6 +61,9 @@ _SPECTRAL_ROUNDOFF = 1e-10
 # for mass staying a time T: 4 eps n^2 on n cells if T ~ L^2/D.  A miss
 # over 1e-8 and 16 eps n^2 marks mass held far longer: drift traps it
 _BALANCE_BOUND, _BALANCE_ROUNDOFF = 1e-8, 16.0
+# decay rates below this times eps |A|_inf are refused: the bisection's
+# absolute error, about eps |A|, would be over 1% of them
+_DECAY_RESOLUTION = 100.0
 # widest log-range of the similarity that keeps S, S^-1 and the mode weights
 # finite; sums over so non-normal an operator would fail the bound anyway
 _MAX_LOG_SIMILARITY = 600.0
@@ -470,7 +473,10 @@ def green_steady(
 def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) -> float:
     """Leading (smallest) eigenvalue of the discretized -L + k operator, the
     top eigenvalue of its symmetric form by bisection; the true asymptotic
-    decay rate of survival."""
+    decay rate of survival.  The bisection is accurate to about eps |A|
+    absolute, so a rate below _DECAY_RESOLUTION eps |A|_inf, over 1% wrong,
+    is refused: drift holding mass against an undrained end makes it
+    small like exp(-|a| L / D)."""
     require_valid(model, killing)
     dom = model.domain
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
@@ -483,4 +489,14 @@ def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) 
         disc.diag, e, select="i", select_range=(disc.m - 1, disc.m - 1),
         tol=2 * np.finfo(float).tiny,
     )
-    return float(-top[0])
+    rate = float(-top[0])
+    norm = np.abs(disc.diag)
+    norm[1:] += np.abs(disc.lower)
+    norm[:-1] += np.abs(disc.upper)
+    bound = _DECAY_RESOLUTION * np.finfo(float).eps * float(norm.max())
+    if not rate >= bound:
+        raise InputError(
+            f"decay rate {rate:.3g} is below what the eigenvalue solve resolves, "
+            f"{bound:.3g}: drift traps the mass against a closed end, or killing is too weak"
+        )
+    return rate

@@ -41,7 +41,12 @@ where counting step ends is exact.
 
 Worker streams are counter-based (Philox keyed by (seed, worker index)) and
 reduced in worker order, so results are bit-identical for a fixed
-configuration regardless of scheduling.
+configuration regardless of scheduling.  A multi-worker simulation runs one
+job per worker with trajectories on a pool forked at the first such call
+and reused by every later one in the process (`_run_on_pool`); the outputs
+do not depend on that.  Workers run the module as it was when the pool was
+forked: a test that monkeypatches the kernel must simulate with one worker,
+which runs in the calling process.
 
 Cost of a step.  A worker moves all its live trajectories one step per loop
 pass: a normal per trajectory, a uniform per trajectory for the ends and
@@ -60,9 +65,11 @@ instead of 63 million).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -326,6 +333,29 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fate, t_end, x_end
 
 
+# the worker pool of this process, as (pid that forked it, workers, pool):
+# forked at the first multi-worker simulation and kept for the later ones
+_pool: Optional[Tuple[int, int, ProcessPoolExecutor]] = None
+
+
+def _run_on_pool(jobs: list) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run each job on its own worker of the process's pool, in job order.
+    The pool is replaced in a process that did not fork it (a fork of this
+    one), for another number of jobs, and after it broke: a worker that
+    died takes the map down with BrokenProcessPool, which is raised."""
+    global _pool
+    key = (os.getpid(), len(jobs))
+    if _pool is None or _pool[:2] != key:
+        if _pool is not None and _pool[0] == key[0]:
+            _pool[2].shutdown()
+        _pool = (*key, ProcessPoolExecutor(max_workers=len(jobs)))
+    try:
+        return list(_pool[2].map(_simulate_worker, jobs))
+    except BrokenProcessPool:
+        _pool = None
+        raise
+
+
 def simulate_outcomes(
     model: DiffusionModel, killing: KillingMeasure, y: float, cfg: McConfig
 ) -> TrajectoryOutcomes:
@@ -346,11 +376,10 @@ def simulate_outcomes(
     jobs = [
         (model, killing, y, cfg, counts[w], w) for w in range(cfg.workers) if counts[w] > 0
     ]
-    if cfg.workers == 1 or len(jobs) == 1:
-        parts = [_simulate_worker(job) for job in jobs]
+    if len(jobs) == 1:
+        parts = [_simulate_worker(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_simulate_worker, jobs))
+        parts = _run_on_pool(jobs)
     fate = np.concatenate([p[0] for p in parts])
     time = np.concatenate([p[1] for p in parts])
     pos = np.concatenate([p[2] for p in parts])

@@ -197,6 +197,32 @@ def test_decay_rate_reflecting_box_is_killing_rate():
     assert lam == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("drift,cells", [(-29.4, 100), (-29.4, 400), (-29.4, 1600), (-21.1, 100)])
+def test_unresolvable_decay_rate_is_refused(drift, cells):
+    # mass trapped against the reflecting end: the rate, about 1/T ~ 7e-16 at
+    # drift -29.4, is far below the bisection's error of about eps |A|, which
+    # returned -4.5e-13, -2.2e-11 and -5.8e-10, and +5.2e-11 at drift -21.1
+    model = interval(1.0, "reflecting", "absorbing", diffusion=0.7, drift=drift)
+    with pytest.raises(InputError, match="decay rate .* below what the eigenvalue solve resolves"):
+        fpe.decay_rate(model, KillingMeasure.zero(), cells)
+
+
+@pytest.mark.parametrize("cells", [100, 400, 1600])
+def test_resolvable_small_decay_rate_is_returned(cells):
+    # drift a < 0 towards the reflecting end at 0: lam = D (c^2 - kappa^2),
+    # c = |a|/2D, tanh(kappa L) = kappa/c.  Second order (the error was
+    # 17/cells^2) until the bisection's error, ~eps |A|, nears 1e-5 of it
+    from scipy.optimize import brentq
+
+    D, a = 0.7, -10.0
+    c = abs(a) / (2 * D)
+    kappa = brentq(lambda k: math.tanh(k) - k / c, 1.0, c * (1 - 1e-15), xtol=1e-15)
+    exact = D * (c * c - kappa * kappa)  # 8.93e-5
+    model = interval(1.0, "reflecting", "absorbing", diffusion=D, drift=a)
+    rate = fpe.decay_rate(model, KillingMeasure.zero(), cells)
+    assert rate == pytest.approx(exact, rel=18 / cells**2 + 1e-5)
+
+
 def test_drift_pushes_exit_to_downstream_boundary():
     sym = fpe.split_statistics(
         interval(2.0), KillingMeasure.uniform(1.0), InitialCondition.point(1.0), GridSpec(100, 1e-3, 10.0)
@@ -524,10 +550,13 @@ def valid_problems(draw):
 def is_trapped(model, killing, cells):
     """Mass stays about 1/lam, lam the slowest decay rate, so a solve's
     round-off is about eps |A| / lam.  Drift that holds mass against an end
-    nothing drains makes lam small like exp(-|a| L / D), or unresolvable,
-    until that passes the 1e-8 balance bound (its grid term 16 eps n^2 is
-    smaller on these grids); weak drift never does."""
-    lam = fpe.decay_rate(model, killing, cells)
+    nothing drains makes lam small like exp(-|a| L / D), or too small for
+    `decay_rate` to resolve, until that passes the 1e-8 balance bound (its
+    grid term 16 eps n^2 is smaller on these grids); weak drift never does."""
+    try:
+        lam = fpe.decay_rate(model, killing, cells)
+    except InputError:
+        return True  # lam is below eps |A| / 1e-2, unresolvable
     norm_a = 2 * np.abs(fpe._Discretization(model, killing, cells).diag).max()
     return not lam * 1e-8 > np.finfo(float).eps * norm_a
 

@@ -1,4 +1,11 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -471,12 +478,18 @@ def test_worker_is_draw_for_draw_the_reference(left, right, kill, drift, dt):
     _assert_same_outcomes(out, _reference_worker(args))
 
 
+def _reference_outcomes(model, killing, y, config, counts):
+    """The reference workers' outcomes, worker w running counts[w]
+    trajectories, concatenated in worker order."""
+    parts = [_reference_worker((model, killing, y, config, n, w)) for w, n in enumerate(counts)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
 def test_two_workers_match_the_reference():
     model, killing = interval(2.0, drift=-0.5), KillingMeasure.piecewise([1.2], [0.4, 2.5])
     config = cfg(dt=2e-2, n_trajectories=501, seed=9, workers=2)
     out = montecarlo.simulate_outcomes(model, killing, 0.7, config)
-    parts = [_reference_worker((model, killing, 0.7, config, n, w)) for w, n in enumerate((251, 250))]
-    _assert_same_outcomes(out, [np.concatenate(p) for p in zip(*parts)])
+    _assert_same_outcomes(out, _reference_outcomes(model, killing, 0.7, config, (251, 250)))
 
 
 def test_steady_ratio_matches_the_reference():
@@ -488,3 +501,119 @@ def test_steady_ratio_matches_the_reference():
     ref = _reference_worker((reflected, killing, 1.0, config, config.n_trajectories, 0))
     expected = montecarlo.split_from_outcomes(montecarlo.TrajectoryOutcomes(*ref, config.dt))
     assert (ratio, se) == (expected.ratio_rinf, expected.ratio_rinf_se)
+
+
+# --- the worker pool, forked once per process and reused ---------------------------
+
+POOL_MODEL, POOL_Y = interval(2.0, drift=-0.5), 0.7
+POOL_KILLING = KillingMeasure.piecewise([1.2], [0.4, 2.5])
+
+
+def pool_simulation(workers=2, n_trajectories=101):
+    """A small multi-worker simulation, checked against the reference
+    workers draw for draw; returns the pids of the pool's workers."""
+    config = cfg(dt=2e-2, n_trajectories=n_trajectories, seed=9, workers=workers)
+    out = montecarlo.simulate_outcomes(POOL_MODEL, POOL_KILLING, POOL_Y, config)
+    counts = [n_trajectories // workers + (w < n_trajectories % workers) for w in range(workers)]
+    _assert_same_outcomes(out, _reference_outcomes(POOL_MODEL, POOL_KILLING, POOL_Y, config, counts))
+    return worker_pids()
+
+
+def worker_pids():
+    pid, _, pool = montecarlo._pool
+    assert pid == os.getpid()
+    return set(pool._processes)
+
+
+def test_consecutive_simulations_reuse_the_workers():
+    first = pool_simulation()
+    assert len(first) == 2
+    assert pool_simulation() == first
+
+
+def test_pool_has_a_worker_per_job_with_work():
+    # 3 trajectories over 4 workers: three jobs, three workers
+    assert len(pool_simulation(workers=4, n_trajectories=3)) == 3
+
+
+def test_pool_is_replaced_for_another_number_of_jobs():
+    two = pool_simulation(workers=2)
+    old = montecarlo._pool[2]  # alive or not, its workers must be joined
+    three = pool_simulation(workers=3)
+    assert len(three) == 3
+    assert not two & three
+    assert montecarlo._pool[2] is not old
+    for pid in two:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_pool_is_replaced_in_a_forked_child():
+    parent = pool_simulation()
+    receive, send = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        try:
+            send.send(sorted(pool_simulation()))
+        except BaseException as exc:
+            send.send(repr(exc))
+        finally:
+            montecarlo._pool[2].shutdown()
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    try:
+        assert receive.poll(60), "the forked child sent nothing"
+        pids = receive.recv()
+    finally:
+        proc.join(30)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
+    assert isinstance(pids, list) and len(pids) == 2, pids
+    assert not parent & set(pids)
+    assert pool_simulation() == parent
+
+
+def test_pool_is_replaced_after_a_worker_is_killed():
+    before = pool_simulation()
+    os.kill(min(before), signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        pool_simulation()
+    assert montecarlo._pool is None
+    after = pool_simulation()
+    assert len(after) == 2
+    assert not before & after
+
+
+def test_pool_is_reused_after_a_worker_raises():
+    before = pool_simulation()
+    config = cfg(max_steps=10, n_trajectories=100, workers=2)
+    with pytest.raises(AccuracyError, match="max_steps"):
+        montecarlo.simulate_outcomes(
+            interval(1.0, "reflecting", "reflecting"), KillingMeasure.uniform(1e-4), 0.5, config
+        )
+    assert pool_simulation() == before
+
+
+def test_process_with_a_pool_exits_and_leaves_no_worker():
+    script = textwrap.dedent("""
+        from killdiff import montecarlo
+        from killdiff.model import KillingMeasure, interval
+        from killdiff.montecarlo import McConfig
+        montecarlo.simulate_outcomes(
+            interval(1.0), KillingMeasure.uniform(1.0), 0.5, McConfig(1e-2, 100, workers=2)
+        )
+        print(*montecarlo._pool[2]._processes)
+    """)
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
