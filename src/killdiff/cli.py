@@ -46,7 +46,9 @@ was killed) and the split from it.
 condition exists.  `sweep --param v0` sets uniform killing at each value and
 so refuses a scenario whose killing is dirac or piecewise; `sweep --param y`
 refuses a steady scenario, whose injected state has no start point.
-`mc --points` and `pde --stride` must be positive integers.
+`pde --stride` sets the steps whose survival `pde` computes and writes:
+every stride-th (default 10), from t = 0.  `mc --points` and `pde --stride`
+must be positive integers.
 
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
 error (including a count below 1), no closed form, or an input the library
@@ -198,11 +200,14 @@ def _out_path(cfg_dir: str, args, name: str) -> str:
 
 
 def _write_rows(path: str, header: str, rows: Sequence[Sequence[object]]) -> None:
+    """One CSV line per row: a float cell (np.float64 too) as repr(float(v)),
+    any other cell as str(v)."""
+    lines = [
+        ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+        for row in rows
+    ]
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for row in rows:
-            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-            f.write(",".join(cells) + "\n")
+        f.write("\n".join([header, *lines, ""]))
     print(f"wrote {path}")
 
 
@@ -295,9 +300,11 @@ def _cmd_pde(args) -> int:
             ],
         )
         return 0
-    res = fpe.evolve(cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid)
+    res = fpe.evolve(
+        cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid, stride=args.stride
+    )
     s = res.series
-    rows = [(t, sv, 0.0) for t, sv in zip(s.times[::args.stride], s.survival[::args.stride])]
+    rows = [(t, sv, 0.0) for t, sv in zip(s.times.tolist(), s.survival.tolist())]
     _write_rows(_out_path(cfg.out_dir, args, "survival.csv"), "t,survival,stderr", rows)
     return 0
 
@@ -458,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pde", help="Fokker-Planck solve (evolve, steady or green)")
     p.add_argument("config")
     p.add_argument("--mode", choices=("evolve", "steady", "green"), default="evolve")
-    p.add_argument("--stride", type=_positive_int, default=10, help="survival output stride")
+    p.add_argument(
+        "--stride", type=_positive_int, default=10,
+        help="compute and write survival at every stride-th step (default 10)",
+    )
     p.set_defaults(func=_cmd_pde)
 
     p = sub.add_parser("mc", help="Monte Carlo simulation")

@@ -16,10 +16,12 @@ round-off, which is what makes the absorbed/killed bookkeeping in
 At every drift a diagonal similarity S makes the operator A symmetric,
 and a Crank-Nicolson step multiplies eigenmode j by
 r_j = (1 + dt lam_j/2) / (1 - dt lam_j/2).  `evolve` uses this: survival,
-kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed for all
-steps at once.  Strong drift makes S far from the identity and those sums
-cancel; where their round-off bound is too large, `evolve` steps the
-scheme, one banded solve per step.  `decay_rate` is the top eigenvalue of
+kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed only at
+the K steps it reports (every `stride`-th).  On m unknown nodes that costs
+O(m^2) for the eigenvectors, plus the powers r_j^n and 3 m K products.
+Strong drift makes S far from the identity and those sums cancel; where
+their round-off estimate is too large, `evolve` steps the scheme, one
+banded solve per step.  `decay_rate` is the top eigenvalue of
 the same symmetric form.  `split_statistics` does not step either: the
 Crank-Nicolson midpoint sums over an infinite horizon are, for every dt,
 (-A)^-1 u0 and A^-2 u0, so the split is two tridiagonal solves and is the
@@ -53,9 +55,9 @@ _log = logging.getLogger("killdiff")
 
 # eigenvectors per inverse-iteration call: no m x m array is ever formed
 _EIG_BLOCK = 64
-# steps per table product when summing the modes
+# most reported steps per table product when summing the modes
 _CHUNK = 128
-# the spectral route runs when its round-off bound is at most this times S(0)
+# the spectral route runs when its round-off estimate is at most this times S(0)
 _SPECTRAL_ROUNDOFF = 1e-10
 # a solve's balance kill + absorbed = inflow misses by round-off, eps |A| T
 # for mass staying a time T: 4 eps n^2 on n cells if T ~ L^2/D.  A miss
@@ -244,18 +246,25 @@ def evolve(
     ic: InitialCondition,
     grid: GridSpec,
     frame_times: Sequence[float] = (),
+    stride: int = 1,
 ) -> FpeResult:
-    """Crank-Nicolson evolution, returning the observable time series and
-    density frames at the requested times (nearest step).
+    """Crank-Nicolson evolution, returning the observable time series at
+    steps 0, stride, 2 stride, ... up to the last step, and density frames at
+    the requested times (nearest step).
 
     The iterates are propagated in the eigenbasis of the symmetrized
-    operator (`_eigenmodes`, `_mode_sums`).  Where drift makes the operator
-    so far from normal that the a-posteriori round-off bound of those sums
-    exceeds 1e-10 S(0), or an injection problem has no steady state, the
-    scheme is stepped instead (`_step`), one banded solve per step.  Both
-    routes give the iterates of the same scheme; `FpeResult.route` says
-    which one ran."""
+    operator (`_eigenmodes`, `_mode_sums`): O(m^2) for the eigenvectors on m
+    unknown nodes, plus the powers r_j^n and 3 m K products for the K
+    reported steps.  Where drift makes the operator so far from normal that
+    the round-off estimate of those sums exceeds 1e-10 S(0), or an injection
+    problem has no steady state, the scheme is stepped instead (`_step`),
+    one banded solve per step.  Both routes give the iterates of the same
+    scheme; `FpeResult.route` says which one ran.  The frames, the final
+    density, the route and the round-off estimate do not depend on stride."""
     require_valid(model, killing, ic)
+    if stride < 1 or stride != int(stride):
+        raise InputError(f"stride must be a positive integer, got {stride!r}")
+    stride = int(stride)
     disc = _Discretization(model, killing, grid.cell_count)
     dt = grid.dt
     n_steps = max(1, int(round(grid.t_max / dt)))
@@ -268,18 +277,18 @@ def evolve(
     limit = _SPECTRAL_ROUNDOFF * float(disc.weights[0] @ u0)
     if bound <= limit:
         route = "spectral"
-        obs = _mode_sums(modes.r, modes.weights, n_steps)
+        obs = _mode_sums(modes.r, modes.weights, n_steps, stride)
         obs += modes.steady_observables[:, None]
         kept = modes.kept
     else:
         route = "stepped"
         _log.debug(
-            "evolve: stepping %d steps on %d cells (spectral round-off bound %.3g > %.3g)",
+            "evolve: stepping %d steps on %d cells (spectral round-off estimate %.3g > %.3g)",
             n_steps, disc.n, bound, limit,
         )
-        obs, kept = _step(disc, u0, dt, n_steps, keep)
+        obs, kept = _step(disc, u0, dt, n_steps, keep, stride)
 
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(0, n_steps + 1, stride) * dt
     surv, krate, brate = obs
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(krate > 0, brate / np.maximum(krate, 1e-300), np.inf)
@@ -355,23 +364,30 @@ def _eigenmodes(
     return _Modes(r, weights, np.array(steady_obs), kept, bound)
 
 
-def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int) -> np.ndarray:
-    """sum_j weights[j] r_j^n for n = 0..n_steps, one row per column of
-    weights: one (3 x m)(m x chunk) product per chunk of steps against a
-    fixed table of r^k, k < chunk."""
-    table = r[:, None] ** np.arange(_CHUNK)
-    out = np.empty((weights.shape[1], n_steps + 1))
-    for n0 in range(0, n_steps + 1, _CHUNK):
-        n1 = min(n0 + _CHUNK, n_steps + 1)
-        out[:, n0:n1] = (weights * r[:, None] ** n0).T @ table[:, : n1 - n0]
+def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
+    """sum_j weights[j] r_j^n for n = 0, stride, 2 stride, ... <= n_steps, one
+    row per column of weights: one (3 x m)(m x chunk) product per chunk of
+    reported steps against a fixed table of r^(stride i), i < chunk.  The
+    table and the chunk offsets take m (chunk + K / chunk) powers for K
+    reported steps, fewest at a chunk of sqrt(K).  The chunk is held between
+    _CHUNK / stride and _CHUNK: the table never outgrows m x _CHUNK, and
+    stride 1 keeps the chunk of _CHUNK steps, so its sums stay the same."""
+    k = n_steps // stride + 1
+    chunk = min(_CHUNK, max(_CHUNK // stride, math.isqrt(k)))
+    table = r[:, None] ** (stride * np.arange(chunk))
+    out = np.empty((weights.shape[1], k))
+    for i0 in range(0, k, chunk):
+        i1 = min(i0 + chunk, k)
+        out[:, i0:i1] = (weights * r[:, None] ** (i0 * stride)).T @ table[:, : i1 - i0]
     return out
 
 
 def _step(
-    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int]
+    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int],
+    stride: int,
 ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-    """The Crank-Nicolson step loop: the observables (3 x steps) at every
-    step and the iterate at the steps in keep."""
+    """The Crank-Nicolson step loop: the observables (3 x reported steps) at
+    every stride-th step and the iterate at the steps in keep."""
     m1 = banded_form(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     m2_lo = dt / 2 * disc.lower
     m2_di = 1 + dt / 2 * disc.diag
@@ -379,7 +395,7 @@ def _step(
 
     kept_steps = set(keep)
     u = u0
-    obs = np.empty((3, n_steps + 1))
+    obs = np.empty((3, n_steps // stride + 1))
     kept: Dict[int, np.ndarray] = {}
     for step in range(n_steps + 1):
         if step:
@@ -389,7 +405,8 @@ def _step(
             u = solve_banded((1, 1), m1, rhs, check_finite=False)
             if step % 200 == 0 and not np.all(np.isfinite(u)):
                 raise AccuracyError(f"solution blew up at t={step * dt}")
-        obs[:, step] = disc.weights @ u
+        if step % stride == 0:
+            obs[:, step // stride] = disc.weights @ u
         if step in kept_steps:
             kept[step] = u
     return obs, kept

@@ -1,10 +1,11 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from killdiff import montecarlo
-from killdiff.cli import ConfigError, main, parse_config
+from killdiff.cli import ConfigError, _write_rows, main, parse_config
 from killdiff.model import BoundaryKind, KillingKind
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -159,6 +160,34 @@ cells = 400
     assert text.startswith("quantity,value")
     ratio = float([ln for ln in text.splitlines() if ln.startswith("ratio_rs")][0].split(",")[1])
     assert ratio == pytest.approx(1.0 / (math.cosh(2.0) - 1.0), rel=1e-3)
+
+
+def test_write_rows_prints_each_cell_as_repr_of_a_float_or_str(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    rows = [
+        (np.float64(1.0), 0.1, -0.0),
+        (math.nan, math.inf, np.float64(-math.inf)),
+        (3, "pde", np.float64(1e-300)),
+    ]
+    _write_rows(str(path), "a,b,c", rows)
+    assert path.read_bytes() == b"a,b,c\n1.0,0.1,-0.0\nnan,inf,-inf\n3,pde,1e-300\n"
+    assert capsys.readouterr().out == f"wrote {path}\n"
+
+
+def test_pde_stride_computes_the_strided_steps_of_stride_one(tmp_path):
+    path = os.path.join(SCENARIOS, "dirac_reference.ini")
+    outs = {stride: tmp_path / stride for stride in ("default", "1")}
+    assert main(["--out", str(outs["default"]), "pde", path]) == 0
+    assert main(["--out", str(outs["1"]), "pde", path, "--stride", "1"]) == 0
+    lines = {k: (out / "survival.csv").read_text().splitlines() for k, out in outs.items()}
+    strided, every = lines["default"], [lines["1"][0]] + lines["1"][1::10]
+    assert len(strided) == len(every) == 1402
+    for row, ref in zip(strided, every):
+        t, survival, stderr = row.split(",")
+        t_ref, survival_ref, stderr_ref = ref.split(",")
+        assert (t, stderr) == (t_ref, stderr_ref)
+        if survival != "survival":
+            assert abs(float(survival) - float(survival_ref)) <= 1e-12
 
 
 def test_sweep_monotone_ratio(tmp_path):

@@ -1,6 +1,8 @@
+import functools
 import logging
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +347,55 @@ def test_spectral_route_reproduces_the_stepped_scheme(ini, monkeypatch):
     assert (res.route, ref.route) == ("spectral", "stepped")
     assert res.roundoff_bound <= 1e-10
     assert_same_iterates(res, ref)
+
+
+def assert_same_states(res, ref):
+    assert (res.route, res.roundoff_bound) == (ref.route, ref.roundoff_bound)
+    assert [f.time for f in res.frames] == [f.time for f in ref.frames]
+    for f, g in zip(res.frames, ref.frames):
+        np.testing.assert_array_equal(f.density, g.density)
+    np.testing.assert_array_equal(res.final_density, ref.final_density)
+
+
+@pytest.mark.parametrize("ini", DECAYING + ("steady_uniform",))
+def test_stride_reports_every_stride_th_step_on_either_route(ini, monkeypatch):
+    # spectral sums within round-off of the stride-1 series, the stepped
+    # route's bit for bit.  The stepped route runs a tenth of the steps,
+    # plus 3 so that neither 7 nor 10 divides the count: both divide the
+    # 14,000 steps of conditional_mfpt and dirac_reference
+    cfg = parse_config(os.path.join(SCENARIOS, f"{ini}.ini"))
+    dt = cfg.grid.dt
+    short = replace(cfg.grid, t_max=(round(cfg.grid.t_max / dt) // 10 + 3) * dt)
+    routes = (
+        ("spectral", cfg.grid, fpe.evolve),
+        ("stepped", short, functools.partial(stepped_evolve, monkeypatch)),
+    )
+    for route, grid, run in routes:
+        args = (cfg.model, cfg.killing, InitialCondition.point(cfg.y), grid)
+        frames = [grid.t_max / 8, grid.t_max / 2]
+        n_steps = round(grid.t_max / dt)
+        every = run(*args, frame_times=frames)
+        assert every.route == route
+        for stride in (1, 7, 10):
+            res = run(*args, frame_times=frames, stride=stride)
+            np.testing.assert_array_equal(res.series.times, np.arange(0, n_steps + 1, stride) * dt)
+            assert_same_states(res, every)
+            for q in ("survival", "kill_rate", "boundary_flux", "ratio_rt"):
+                got, sliced = getattr(res.series, q), getattr(every.series, q)[::stride]
+                if route == "stepped":
+                    assert np.array_equal(got, sliced), q
+                elif q != "ratio_rt":
+                    atol = 1e-12 * max(1.0, np.abs(sliced).max())
+                    np.testing.assert_allclose(got, sliced, rtol=0, atol=atol, err_msg=q)
+
+
+@pytest.mark.parametrize("stride", [0, -3, 2.5])
+def test_stride_must_be_a_positive_integer(stride):
+    with pytest.raises(InputError, match="stride"):
+        fpe.evolve(
+            interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0),
+            GridSpec(100, 1e-2, 0.1), stride=stride,
+        )
 
 
 @pytest.mark.parametrize("drift, route", [(5.0, "spectral"), (60.0, "stepped")])
