@@ -12,11 +12,13 @@ Scenario configs are INI files with sections:
                  mc_dt, mc_n, mc_seed, mc_workers
     [output]     dir
 
-Unknown sections or keys are rejected.  All quantities are dimensionless;
-supply consistent units (d in length^2/time, rates in 1/time, spot
-strengths in length/time).  `dt` and `t_max` set the steps of `pde`
-evolution only: `split --method pde` is the exact infinite-horizon sum of
-the Crank-Nicolson scheme and depends on `cells` alone.
+Each killing kind states a piecewise-constant rate plus point spots; with
+no positive rate or strength (v0 = 0, say) it is zero killing.  Unknown
+sections or keys are rejected.  All quantities are dimensionless; supply
+consistent units (d in length^2/time, rates in 1/time, spot strengths in
+length/time).  `dt` and `t_max` set the steps of `pde` evolution only:
+`split --method pde` is the exact infinite-horizon sum of the
+Crank-Nicolson scheme and depends on `cells` alone.
 
 The MC worker count is `--workers`, else the KILLDIFF_WORKERS environment
 variable, else the config's `mc_workers`; it must be an integer >= 1.
@@ -43,9 +45,9 @@ multiples of `mc_dt`), the kill-location histogram (skipped when nothing
 was killed) and the split from it.
 
 `[initial] y` is the point every route starts from; no other initial
-condition exists.  `sweep --param v0` sets uniform killing at each value and
-so refuses a scenario whose killing is dirac or piecewise; `sweep --param y`
-refuses a steady scenario, whose injected state has no start point.
+condition exists.  `sweep --param v0` sets uniform killing at each value,
+zero killing at 0, and so refuses a dirac or piecewise scenario;
+`sweep --param y` refuses a steady scenario, which has no start point.
 `pde --stride` sets the steps whose survival `pde` computes and writes:
 every stride-th (default 10), from t = 0.  `mc --points` and `pde --stride`
 must be positive integers.
@@ -77,7 +79,6 @@ from .model import (
     DiffusionModel,
     InitialCondition,
     InputError,
-    KillingKind,
     KillingMeasure,
     SplitStatistics,
     interval,
@@ -368,11 +369,12 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
     elif param == "y":
         y = value
     elif param == "v0":
-        if killing.kind not in (KillingKind.ZERO, KillingKind.UNIFORM):
-            raise ConfigError(f"v0 sweep needs zero or uniform killing, not {killing.kind.value}")
+        if not killing.is_zero and (killing.spots or len(killing.rates) != 1):
+            refused = "dirac" if killing.spots else "piecewise"
+            raise ConfigError(f"v0 sweep needs zero or uniform killing, not {refused}")
         killing = KillingMeasure.uniform(value)
     elif param == "spot_position":
-        if killing.kind is not KillingKind.DIRAC or len(killing.spots) != 1:
+        if len(killing.spots) != 1 or any(killing.rates):
             raise ConfigError("spot_position sweep needs a single-spot point killing")
         killing = KillingMeasure.dirac([(value, killing.spots[0][1])])
     elif param == "drift":

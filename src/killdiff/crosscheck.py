@@ -16,7 +16,6 @@ from .model import (
     BoundaryKind,
     DiffusionModel,
     InitialCondition,
-    KillingKind,
     KillingMeasure,
     interval,
 )
@@ -121,7 +120,7 @@ def analytic_split_dirac(
 ) -> Tuple[float, float]:
     """(p_killed, mean kill time) in closed form for a single point killing
     with both ends absorbing, via rescaling to the reference interval."""
-    if killing.kind is not KillingKind.DIRAC or len(killing.spots) != 1:
+    if killing.is_zero or len(killing.spots) != 1 or any(killing.rates):
         raise ValueError("closed form available for a single point killing only")
     xs, ks = killing.spots[0]
     sc = UnitScaling(model.domain.length, model.diffusion)
@@ -155,11 +154,12 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
     dom = model.domain
     kinds = (dom.left.kind, dom.right.kind)
     D, L = model.diffusion, dom.length
-    uniform = killing.kind is KillingKind.UNIFORM
-    one_spot = killing.kind is KillingKind.DIRAC and len(killing.spots) == 1
+    # zero killing first: a spot of strength 0 is no single point killing
+    uniform = not killing.is_zero and len(killing.rates) == 1 and not killing.spots
+    one_spot = not killing.is_zero and len(killing.spots) == 1 and not any(killing.rates)
     if kinds.count(BoundaryKind.INJECTION) == 1 and kinds.count(BoundaryKind.ABSORBING) == 1:
         if uniform:
-            return {"ratio_rs": analytic.ratio_rs_uniform(D, killing.v0, L)}
+            return {"ratio_rs": analytic.ratio_rs_uniform(D, killing.rates[0], L)}
         if one_spot:
             xs, ks = killing.spots[0]
             d_abs = xs if dom.left.kind is BoundaryKind.ABSORBING else L - xs
@@ -168,7 +168,7 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
     if set(kinds) == {BoundaryKind.REFLECTING} and uniform:
         return {
             "p_killed": 1.0, "p_absorbed": 0.0,
-            "mean_kill_time": 1.0 / killing.v0, "ratio_rinf": 0.0,
+            "mean_kill_time": 1.0 / killing.rates[0], "ratio_rinf": 0.0,
         }
     if set(kinds) != {BoundaryKind.ABSORBING}:
         return {}
@@ -178,7 +178,7 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
             "mean_absorb_time": y * (L - y) / (2 * D), "ratio_rinf": math.inf,
         }
     if uniform:
-        pa = analytic.absorption_probability_uniform(D, killing.v0, L, y)
+        pa = analytic.absorption_probability_uniform(D, killing.rates[0], L, y)
         pk = 1 - pa
         return {
             "p_killed": pk, "p_absorbed": pa, "ratio_rinf": pa / pk if pk > 0 else math.inf,
@@ -362,7 +362,7 @@ def _run_split(sc: Scenario) -> List[Comparison]:
     forms = closed_forms(sc.model, sc.killing, sc.y)
     if "mean_kill_time" in forms:
         mk = forms["mean_kill_time"]
-        if sc.killing.kind is KillingKind.DIRAC:
+        if sc.killing.spots:  # a single spot's forms
             pk = forms["p_killed"]
             rows.append(_compare(sc.name, "p_killed", "analytic", pk, "pde", pde.p_killed, 2e-3))
             tol = 5e-3 * max(1.0, mk)

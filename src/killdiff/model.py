@@ -1,10 +1,11 @@
 """Problem definitions shared by the analytic, PDE and Monte Carlo solvers.
 
 A problem is an interval with a boundary behavior at each end, a constant
-diffusion coefficient (optionally with constant drift), a killing rate field
-inside the interval, and a start: unit mass at a point y.  All quantities are
-dimensionless; users must supply consistent units (D in length^2/time,
-uniform/piecewise rates in 1/time, point-spot strengths in length/time).
+diffusion coefficient (optionally with constant drift), a killing measure
+inside the interval (a piecewise-constant rate plus point spots), and a
+start: unit mass at a point y.  All quantities are dimensionless; users
+must supply consistent units (D in length^2/time, rates in 1/time, spot
+strengths in length/time).
 """
 
 from __future__ import annotations
@@ -67,47 +68,61 @@ class KillingKind(Enum):
 
 @dataclass(frozen=True)
 class KillingMeasure:
-    kind: KillingKind
-    v0: float = 0.0
+    """A rate that is constant between breakpoints (rates[i] on the i-th
+    piece, one more rate than breakpoints) plus point spots.  zero, uniform,
+    dirac and piecewise are constructors of this one shape; a measure with
+    no positive rate and no positive spot is zero killing however it is
+    stated."""
+
+    breakpoints: Tuple[float, ...] = ()
+    rates: Tuple[float, ...] = (0.0,)
     # (position, strength) pairs; strength has units length/time
     spots: Tuple[Tuple[float, float], ...] = ()
-    breakpoints: Tuple[float, ...] = ()
-    rates: Tuple[float, ...] = ()
 
     @staticmethod
     def zero() -> "KillingMeasure":
-        return KillingMeasure(KillingKind.ZERO)
+        return KillingMeasure()
 
     @staticmethod
     def uniform(v0: float) -> "KillingMeasure":
-        return KillingMeasure(KillingKind.UNIFORM, v0=v0)
+        return KillingMeasure(rates=(float(v0),))
 
     @staticmethod
     def dirac(spots: Sequence[Tuple[float, float]]) -> "KillingMeasure":
-        return KillingMeasure(KillingKind.DIRAC, spots=tuple((float(x), float(k)) for x, k in spots))
+        return KillingMeasure(spots=tuple((float(x), float(k)) for x, k in spots))
 
     @staticmethod
     def piecewise(breakpoints: Sequence[float], rates: Sequence[float]) -> "KillingMeasure":
-        return KillingMeasure(
-            KillingKind.PIECEWISE,
-            breakpoints=tuple(float(b) for b in breakpoints),
-            rates=tuple(float(r) for r in rates),
-        )
+        return KillingMeasure(tuple(float(b) for b in breakpoints), tuple(float(r) for r in rates))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind is KillingKind.ZERO
+        return not any(r > 0 for r in self.rates) and not any(k > 0 for _, k in self.spots)
+
+    @property
+    def kind(self) -> KillingKind:
+        """The constructor that states this measure.  Kept for `bench/`
+        until its next change (ROADMAP item 1); a rate mixed with spots,
+        which no scenario file states, has none."""
+        if self.is_zero:
+            return KillingKind.ZERO
+        if not any(r > 0 for r in self.rates):
+            return KillingKind.DIRAC
+        if self.spots:
+            raise ValueError("a rate mixed with spots has no single kind")
+        return KillingKind.UNIFORM if len(self.rates) == 1 else KillingKind.PIECEWISE
+
+    @property
+    def v0(self) -> float:
+        """The rate of a one-piece measure, else 0.  Kept for `bench/`
+        until its next change (ROADMAP item 1)."""
+        return self.rates[0] if len(self.rates) == 1 else 0.0
 
     def smooth_rate(self, x: np.ndarray) -> np.ndarray:
-        """Rate field at positions x, excluding Dirac spots (those carry no
+        """Rate field at positions x, excluding the spots (those carry no
         pointwise rate; handle them through `spots`)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind is KillingKind.UNIFORM:
-            return np.full_like(x, self.v0)
-        if self.kind is KillingKind.PIECEWISE:
-            idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
-            return np.asarray(self.rates, dtype=float)[idx]
-        return np.zeros_like(x)
+        idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
+        return np.asarray(self.rates, dtype=float)[idx]
 
 
 @dataclass(frozen=True)
@@ -180,35 +195,20 @@ def validate_problem(
     if n_inject > 1:
         bad.append("at most one boundary may be an injection boundary")
 
-    if killing.kind is KillingKind.UNIFORM:
-        if killing.v0 < 0:
-            bad.append("uniform killing rate must be non-negative")
-        elif killing.v0 == 0:
-            bad.append("uniform killing rate must be strictly positive (use zero killing instead)")
-    elif killing.kind is KillingKind.DIRAC:
-        if not killing.spots:
-            bad.append("point killing needs at least one spot")
-        strengths = [k for _, k in killing.spots]
-        if any(k < 0 for k in strengths):
-            bad.append("spot strengths must be non-negative")
-        elif killing.spots and not any(k > 0 for k in strengths):
-            bad.append("at least one spot strength must be strictly positive")
-        if L > 0:
-            for x, _ in killing.spots:
-                if not (0 < x < L):
-                    bad.append(f"spot at {x} not strictly inside the interval (0, {L})")
-    elif killing.kind is KillingKind.PIECEWISE:
-        bps = killing.breakpoints
-        if len(killing.rates) != len(bps) + 1:
-            bad.append("piecewise killing needs exactly one rate per interval")
-        if any(r < 0 for r in killing.rates):
-            bad.append("piecewise rates must be non-negative")
-        elif killing.rates and not any(r > 0 for r in killing.rates):
-            bad.append("at least one piecewise rate must be strictly positive")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            bad.append("piecewise breakpoints must be strictly increasing")
-        if L > 0 and bps and not (0 <= bps[0] and bps[-1] <= L):
-            bad.append("piecewise breakpoints must lie inside the interval")
+    bps, rates = killing.breakpoints, killing.rates
+    if len(rates) != len(bps) + 1:
+        bad.append("killing needs exactly one rate per interval between breakpoints")
+    if not all(r >= 0 for r in rates):
+        bad.append("killing rates must be non-negative")
+    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
+        bad.append("killing breakpoints must be strictly increasing")
+    if L > 0 and bps and not (0 <= bps[0] and bps[-1] <= L):
+        bad.append("killing breakpoints must lie inside the interval")
+    if not all(k >= 0 for _, k in killing.spots):
+        bad.append("spot strengths must be non-negative")
+    for x, _ in killing.spots:
+        if L > 0 and not (0 < x < L):
+            bad.append(f"spot at {x} not strictly inside the interval (0, {L})")
 
     if ic is not None and L > 0 and not (0 < ic.y < L):
         bad.append(f"point source at {ic.y} not strictly inside the interval (0, {L})")

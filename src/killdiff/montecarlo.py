@@ -12,31 +12,30 @@ made for that bridge:
   (d1 <= 0 once crossed) is reached with probability
   exp(-max(d0 d1, 0) / (D dt)) (Gobet 2000).  One uniform serves both ends:
   the left end is hit if u < p_L, the right end if u > 1 - p_R;
+- the rate kills with 1 - exp(-r dt), r = (k(x0) + k(x1))/2 its trapezoid
+  mean over the step (exact unless the step straddles a breakpoint), at the
+  in-step time -log1p(-u)/r of the same uniform u, at the bridge point then;
 - a point spot xs of strength k kills with the probability that the
   bridge's local time at xs exceeds an Exp(k) threshold (Borodin &
   Salminen, Handbook of Brownian Motion):
   (k/2) sqrt(pi dt/D) exp(-max(ab, 0)/(D dt)) erfcx((|a| + |b| + k dt) /
-  (2 sqrt(D dt))) with a = x0 - xs, b = x1 - xs; several spots kill with
-  1 - prod(1 - P_i), and the kill position is the spot;
-- uniform killing kills with 1 - exp(-v0 dt), at the in-step time
-  -log1p(-u)/v0 of the same uniform; piecewise killing with the trapezoid
-  1 - exp(-dt (k(x0) + k(x1))/2), at the step midpoint (exact unless the
-  step straddles a breakpoint).  Their kill position is the bridge point at
-  the kill time;
+  (2 sqrt(D dt))) with a = x0 - xs, b = x1 - xs, at the step midpoint and
+  at the spot.  The rate and then each spot kill with 1 - prod(1 - P_i):
+  the first whose cumulative probability exceeds u kills;
 - a step with both a kill and an exit (rare) ends with the earlier: the
   crossing time tau = dt V/(1 + V), V inverse Gaussian with mean d0/|d1|
   and shape d0^2/(2 D dt), against the kill time (the midpoint for spots).
 
 Ignored within a step: the interaction of a spot or of the killing with a
 reflecting end (x1 is reflected first, and the bridge runs to the reflected
-point) and, for several spots, the dependence of their local times.
+point) and, for several sources, the dependence between them.
 
 Every event is recorded at the end of its step (`TrajectoryOutcomes.time`
 = step*dt), so it lies in (time - dt, time].  The estimators use that:
 `split_from_outcomes` takes each event at its step's midpoint, time - dt/2,
 which leaves mean times high by about (dt^2/12) f(0+), f(0+) the density of
-event times at t = 0 (v0 for uniform killing, 0 for a start away from the
-ends and spots); `survival_curve` evaluates S only at multiples of dt,
+event times at t = 0 (the rate k(y) for a start y away from the ends and
+spots); `survival_curve` evaluates S only at multiples of dt,
 where counting step ends is exact.
 
 Worker streams are counter-based (Philox keyed by (seed, worker index)) and
@@ -69,6 +68,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -77,7 +77,6 @@ from .model import (
     BoundaryKind,
     DiffusionModel,
     InputError,
-    KillingKind,
     KillingMeasure,
     SplitStatistics,
     require_valid,
@@ -175,56 +174,78 @@ def _bridge_point(rng: np.random.Generator, x0, x1, s, D: float, dt: float) -> n
 
 class _KillLaw(NamedTuple):
     probability: Callable  # (x0, x1) -> kill probability of each step
-    time: Callable  # u -> in-step kill time of the steps killed with uniform u
+    time: Callable  # (x0, x1, u) -> in-step kill time of the steps killed with uniform u
     position: Callable  # (rng, x0, x1, s, u) -> kill position of those steps
 
 
-def _kill_law(killing: KillingMeasure, D: float, dt: float):
+def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw]:
     """The kill decision of one step, exact for the Brownian bridge between
     its endpoints (module docstring); None without killing."""
-    if killing.kind is KillingKind.ZERO:
-        return None
+    rates = np.asarray(killing.rates, dtype=float)
+    spots = [(xs, k) for xs, k in killing.spots if k > 0]
+    if rates.size == 1:  # uniform: one kill probability for every step
+        v0, p = rates[0], -math.expm1(-rates[0] * dt)
+        probability, mean_rate = (lambda x0, x1: p), (lambda x0, x1: v0)
+    else:
+        piece = partial(np.asarray(killing.breakpoints).searchsorted, side="right")
+        half = rates / 2
 
-    def midpoint(u):
-        return np.full(np.size(u), dt / 2)
+        def mean_rate(x0, x1):
+            """The trapezoid (k(x0) + k(x1))/2 of the rate over the step."""
+            r = half[piece(x0)]
+            r += half[piece(x1)]
+            return r
 
-    def on_bridge(rng, x0, x1, s, u):
-        return _bridge_point(rng, x0, x1, s, D, dt)
-
-    if killing.kind is KillingKind.UNIFORM:
-        v0 = killing.v0
-        p = -math.expm1(-v0 * dt)
-        return _KillLaw(lambda x0, x1: p, lambda u: -np.log1p(-u) / v0, on_bridge)
-    if killing.kind is KillingKind.PIECEWISE:
-        breaks = np.asarray(killing.breakpoints)
-        half_rates = np.asarray(killing.rates, dtype=float) * (-dt / 2)
-
-        def trapezoid(x0, x1):
-            r = half_rates[np.searchsorted(breaks, x0, side="right")]
-            r += half_rates[np.searchsorted(breaks, x1, side="right")]
+        def probability(x0, x1):
+            r = mean_rate(x0, x1)
+            r *= -dt
             return np.negative(np.expm1(r, out=r), out=r)
 
-        return _KillLaw(trapezoid, midpoint, on_bridge)
-    spots = killing.spots
-    if len(spots) == 1:
-        (xs, k), = spots
-        return _KillLaw(
-            lambda x0, x1: _spot_kill_probability(x0, x1, xs, k, D, dt),
-            midpoint,
-            lambda rng, x0, x1, s, u: np.full(np.size(u), xs),
+    rate = _KillLaw(
+        probability,
+        lambda x0, x1, u: -np.log1p(-u) / mean_rate(x0, x1),
+        lambda rng, x0, x1, s, u: _bridge_point(rng, x0, x1, s, D, dt),
+    )
+    rated = bool((rates > 0).any())
+    sources = [rate] * rated + [
+        _KillLaw(
+            lambda x0, x1, xs=xs, k=k: _spot_kill_probability(x0, x1, xs, k, D, dt),
+            lambda x0, x1, u: np.full(np.size(u), dt / 2),
+            lambda rng, x0, x1, s, u, xs=xs: np.full(np.size(u), xs),
         )
-    sites = np.array([xs for xs, _ in spots])
+        for xs, k in spots
+    ]
+    if len(sources) < 2:  # a single source decides with its own law
+        return sources[0] if sources else None
+    sites = np.array([math.nan] * rated + [xs for xs, _ in spots])
 
     def killed_by(x0, x1):
-        """Per spot, the probability that it or a spot before it kills the step."""
-        q = [1.0 - _spot_kill_probability(x0, x1, xs, k, D, dt) for xs, k in spots]
-        return 1.0 - np.cumprod(q, axis=0)
+        """Per source, the probability that it or a source before it kills the step."""
+        q = np.empty((len(sources), np.size(x0)))
+        for row, law in zip(q, sources):
+            np.subtract(1.0, law.probability(x0, x1), out=row)
+        return np.subtract(1.0, np.cumprod(q, axis=0, out=q), out=q)
 
-    def at_spot(rng, x0, x1, s, u):
-        # the spots kill in turn: the first whose cumulative probability exceeds u
+    def site(x0, x1, u):
+        """Where each step is killed, NaN for the rate: the site of the first
+        source whose cumulative probability exceeds u."""
         return sites[np.count_nonzero(killed_by(x0, x1) <= u, axis=0)]
 
-    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], midpoint, at_spot)
+    def time(x0, x1, u):
+        s = np.full(np.size(u), dt / 2)
+        if rated:
+            r = np.isnan(site(x0, x1, u))
+            s[r] = rate.time(x0[r], x1[r], u[r])
+        return s
+
+    def position(rng, x0, x1, s, u):
+        pos = site(x0, x1, u)
+        if rated:
+            r = np.isnan(pos)
+            pos[r] = rate.position(rng, x0[r], x1[r], s[r], u[r])
+        return pos
+
+    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], time, position)
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,21 +331,21 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x_end[idx] = 0.0 if left_abs else L
         dead = ev[killed[ev]] if kill is not None else ev[:0]
         if dead.size:
-            s = kill.time(u_kill[dead])
+            a, b, ud = x0[dead], x1[dead], u_kill[dead]
+            s = kill.time(a, b, ud)
             if exits:
                 # a kill and an exit in one step: the earlier ends it
                 at_left = left[dead] if left_abs else np.zeros(dead.size, dtype=bool)
                 both = at_left | right[dead] if right_abs else at_left
                 if both.any():
-                    b = dead[both]
-                    d0 = np.where(at_left[both], x0[b], L - x0[b])
-                    d1 = np.where(at_left[both], x1[b], L - x1[b])
+                    d0 = np.where(at_left[both], a[both], L - a[both])
+                    d1 = np.where(at_left[both], b[both], L - b[both])
                     first = ~both
                     first[both] = s[both] < _crossing_time(rng, d0, d1, D, dt)
-                    dead, s = dead[first], s[first]
+                    dead, a, b, s, ud = dead[first], a[first], b[first], s[first], ud[first]
             idx = alive[dead]
             fate[idx] = FATE_KILLED
-            x_end[idx] = np.clip(kill.position(rng, x0[dead], x1[dead], s, u_kill[dead]), 0.0, L)
+            x_end[idx] = np.clip(kill.position(rng, a, b, s, ud), 0.0, L)
         keep = ~events
         m -= ev.size
         x0_buf = x1[keep]

@@ -1,11 +1,11 @@
-"""Shared numerical kernels: bounded series summation, tridiagonal solves,
-one-sided differentiation at zero, and numerical Laplace inversion."""
+"""Shared numerical kernels: bounded series summation, tridiagonal solves
+and one-sided differentiation at zero."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -95,26 +95,16 @@ def banded_form(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.nd
 
 
 def derivative_at_zero(
-    f: Callable[[float], float],
-    steps: Sequence[float] = (),
-    h0: float = 0.05,
-    ratio: float = 0.5,
-    levels: int = 10,
+    f: Callable[[float], float], h0: float = 0.05, levels: int = 10
 ) -> Tuple[float, float]:
     """One-sided derivative f'(0+) by Richardson extrapolation of forward
-    differences on a geometrically shrinking step schedule.
+    differences at the steps h0, h0/2, h0/4, ... (`levels` of them).
 
     Only evaluates f at 0 and at positive arguments.  Returns (derivative,
     error estimate); raises AccuracyError when the extrapolation table does
     not settle.
     """
-    if steps:
-        hs = list(steps)
-        if any(h <= 0 for h in hs) or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-            raise ValueError("steps must be positive and strictly decreasing")
-        ratio = hs[1] / hs[0] if len(hs) > 1 else 0.5
-    else:
-        hs = [h0 * ratio**k for k in range(levels)]
+    hs = [h0 * 0.5**k for k in range(levels)]
     f0 = f(0.0)
     col = [(f(h) - f0) / h for h in hs]
     best = col[-1]
@@ -122,7 +112,7 @@ def derivative_at_zero(
     j = 0
     while len(col) > 1:
         j += 1
-        r = ratio**j
+        r = 0.5**j
         col = [(col[i + 1] - r * col[i]) / (1.0 - r) for i in range(len(col) - 1)]
         err = abs(col[-1] - best)
         if err < best_err:
@@ -131,58 +121,3 @@ def derivative_at_zero(
     if not math.isfinite(best) or not math.isfinite(best_err):
         raise AccuracyError("Richardson extrapolation did not converge")
     return best, best_err
-
-
-def _stehfest_weights(n: int) -> np.ndarray:
-    if n % 2 or n < 2:
-        raise ValueError("Gaver-Stehfest order must be a positive even number")
-    half = n // 2
-    v = np.zeros(n)
-    for k in range(1, n + 1):
-        s = 0.0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            s += (
-                j**half
-                * math.factorial(2 * j)
-                / (
-                    math.factorial(half - j)
-                    * math.factorial(j)
-                    * math.factorial(j - 1)
-                    * math.factorial(k - j)
-                    * math.factorial(2 * j - k)
-                )
-            )
-        v[k - 1] = (-1) ** (k + half) * s
-    return v
-
-
-def invert_laplace(
-    f_hat: Callable[[float], float],
-    t: float,
-    tol: float = 1e-5,
-    orders: Sequence[int] = (12, 14, 16),
-) -> Tuple[float, float]:
-    """Gaver-Stehfest inversion of a Laplace transform at time t > 0.
-
-    Only requires f_hat on the positive real axis.  The error estimate is the
-    difference between successive orders (heuristic); raises AccuracyError
-    when it stays above tol.  Crosscheck tool, never on the acceptance path.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    ln2_t = math.log(2.0) / t
-    values = []
-    for n in orders:
-        w = _stehfest_weights(n)
-        q = ln2_t * np.arange(1, n + 1)
-        values.append(ln2_t * float(np.dot(w, [f_hat(float(qi)) for qi in q])))
-    best = values[-1]
-    est = min(abs(b - a) for a, b in zip(values, values[1:]))
-    # keep the order whose neighbor agreement is tightest
-    for a, b in zip(values, values[1:]):
-        if abs(b - a) == est:
-            best = b
-            break
-    if est > tol:
-        raise AccuracyError(f"Laplace inversion error estimate {est:.3g} exceeds {tol:.3g}")
-    return best, est

@@ -1,10 +1,13 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from killdiff import crosscheck
+from killdiff import crosscheck, montecarlo
 from killdiff.analytic import PI
 from killdiff.crosscheck import Scenario, default_matrix, run_matrix
 from killdiff.fpe import GridSpec, split_statistics
-from killdiff.model import InitialCondition, KillingMeasure, interval
+from killdiff.model import InitialCondition, InputError, KillingMeasure, interval, validate_problem
 from killdiff.montecarlo import McConfig
 
 
@@ -196,3 +199,39 @@ def test_absorbing_interval_closed_forms_match_the_pde_split(killing, diffusion,
         assert forms["mean_absorb_time"] == pytest.approx(pde.mean_absorb_time, rel=1e-4)
     else:
         assert list(forms) == ["p_killed", "p_absorbed", "ratio_rinf"]
+
+
+def _outcome(call):
+    """What call() returns, a dataclass as its fields, or the InputError it raises."""
+    try:
+        value = call()
+    except InputError as exc:
+        return str(exc)
+    return dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value
+
+
+ENDS = ("absorbing", "reflecting", "injection")
+
+
+@pytest.mark.parametrize("left,right", [(a, b) for a in ENDS for b in ENDS if a != b or a != "injection"])
+@pytest.mark.parametrize(
+    "killing",
+    [
+        KillingMeasure.uniform(0.0),
+        KillingMeasure.dirac([]),
+        KillingMeasure.dirac([(0.4, 0.0)]),
+        KillingMeasure.piecewise([0.5], [0.0, 0.0]),
+    ],
+    ids=["uniform-0", "no-spots", "spot-of-strength-0", "piecewise-0"],
+)
+def test_a_measure_that_kills_nowhere_is_zero_killing(killing, left, right):
+    model, y, zero = interval(1.0, left, right, phi=1.0), 0.3, KillingMeasure.zero()
+    ic, grid = InitialCondition.point(y), GridSpec(50, 1e-3, 1.0)
+    config = McConfig(dt=1e-2, n_trajectories=50, seed=4)
+    for route in (
+        lambda k: validate_problem(model, k, ic),
+        lambda k: crosscheck.closed_forms(model, k, y),
+        lambda k: split_statistics(model, k, ic, grid),
+        lambda k: montecarlo.simulate_outcomes(model, k, y, config),
+    ):
+        np.testing.assert_equal(_outcome(lambda: route(killing)), _outcome(lambda: route(zero)))

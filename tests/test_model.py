@@ -44,12 +44,13 @@ def test_valid_problem_reports_ok():
         (interval(-1.0), KillingMeasure.zero(), "length"),
         (interval(1.0, diffusion=0.0), KillingMeasure.zero(), "diffusion"),
         (interval(1.0), KillingMeasure.uniform(-1.0), "non-negative"),
-        (interval(1.0), KillingMeasure.uniform(0.0), "zero killing instead"),
         (interval(1.0), KillingMeasure.dirac([(1.5, 1.0)]), "inside the interval"),
         (interval(1.0), KillingMeasure.dirac([(0.5, -1.0)]), "non-negative"),
-        (interval(1.0), KillingMeasure.dirac([]), "at least one spot"),
         (interval(1.0), KillingMeasure.piecewise([0.5], [1.0]), "one rate per interval"),
         (interval(1.0), KillingMeasure.piecewise([0.6, 0.4], [1.0, 1.0, 1.0]), "increasing"),
+        (interval(1.0), KillingMeasure.piecewise([0.5, 1.5], [1.0, 1.0, 1.0]), "inside the interval"),
+        (interval(1.0), KillingMeasure.piecewise([0.5], [1.0, float("nan")]), "non-negative"),
+        (interval(1.0), KillingMeasure(rates=(1.0,), spots=((0.5, -1.0),)), "non-negative"),
         (interval(1.0, "absorbing", "injection", phi=0.0), KillingMeasure.zero(), "flux"),
     ],
 )
@@ -57,6 +58,22 @@ def test_invalid_problems_are_flagged(model, killing, expect):
     report = validate_problem(model, killing)
     assert not report.ok
     assert any(expect in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "killing",
+    [
+        KillingMeasure.uniform(0.0),
+        KillingMeasure.dirac([]),
+        KillingMeasure.dirac([(0.3, 0.0), (0.6, 0.0)]),
+        KillingMeasure.piecewise([0.5], [0.0, 0.0]),
+    ],
+)
+def test_a_measure_that_kills_nowhere_is_zero_killing(killing):
+    # once refused as "use zero killing instead" and "needs at least one spot"
+    assert validate_problem(interval(1.0), killing).ok
+    assert killing.is_zero and killing.kind is KillingKind.ZERO
+    assert np.all(killing.smooth_rate(np.linspace(0.0, 1.0, 5)) == 0.0)
 
 
 def test_validation_never_raises_and_collects_everything():
@@ -109,3 +126,19 @@ def test_dirac_measure_has_no_smooth_rate():
     assert np.all(killing.smooth_rate(np.linspace(0.1, 0.9, 5)) == 0.0)
     assert killing.kind is KillingKind.DIRAC
     assert not killing.is_zero
+
+
+def test_uniform_and_point_constructors_state_one_shape():
+    assert KillingMeasure.zero() == KillingMeasure.uniform(0.0) == KillingMeasure.dirac([])
+    assert KillingMeasure.uniform(2.0) == KillingMeasure.piecewise([], [2.0])
+    assert KillingMeasure.uniform(2.0).kind is KillingKind.UNIFORM
+    assert KillingMeasure.piecewise([0.5], [0.0, 2.0]).kind is KillingKind.PIECEWISE
+
+
+def test_rate_plus_spots_is_one_valid_measure_without_a_kind():
+    killing = KillingMeasure(breakpoints=(0.5,), rates=(1.0, 0.0), spots=((0.6, 2.0),))
+    assert validate_problem(interval(1.0), killing).ok
+    assert not killing.is_zero
+    assert np.allclose(killing.smooth_rate(np.array([0.2, 0.6])), [1.0, 0.0])
+    with pytest.raises(ValueError, match="no single kind"):
+        killing.kind

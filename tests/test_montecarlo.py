@@ -13,7 +13,7 @@ import pytest
 from killdiff import analytic, crosscheck, fpe, montecarlo
 from killdiff.analytic import PI
 from killdiff.fpe import GridSpec
-from killdiff.model import BoundaryKind, InitialCondition, KillingKind, KillingMeasure, interval
+from killdiff.model import BoundaryKind, InitialCondition, KillingMeasure, interval
 from killdiff.montecarlo import FATE_ABSORBED, FATE_KILLED, McConfig
 from killdiff.numerics import AccuracyError
 
@@ -282,6 +282,9 @@ def test_kill_probability_of_a_rate_field():
     x0, x1 = np.array([0.2, 0.7, 0.45]), np.array([0.3, 0.6, 0.55])
     expected = -np.expm1(-dt * np.array([1.0, 5.0, 3.0]))
     np.testing.assert_allclose(piecewise.probability(x0, x1), expected, rtol=1e-15)
+    # a step killed by the rate dies at the in-step time of its trapezoid mean rate
+    u = np.array([0.002, 0.03, 0.01])
+    np.testing.assert_allclose(piecewise.time(x0, x1, u), -np.log1p(-u) / [1.0, 5.0, 3.0], rtol=1e-15)
 
 
 # --- statistical checks at large steps -------------------------------------------
@@ -293,6 +296,22 @@ def test_point_killing_split_has_no_step_bias(dt):
     exact, _ = crosscheck.analytic_split_dirac(model, killing, y)
     stats = montecarlo.simulate_split(model, killing, y, cfg(dt=dt, n_trajectories=40000))
     assert abs(stats.p_killed - exact) <= 3 * stats.p_killed_se
+
+
+@pytest.mark.parametrize(
+    "killing",
+    [
+        KillingMeasure(rates=(1.0,), spots=((0.6, 2.0),)),
+        KillingMeasure((0.3, 0.6), (0.5, 3.0, 1.0), ((0.2, 2.0), (0.7, 3.0))),
+    ],
+    ids=["rate-plus-spot", "piecewise-plus-two-spots"],
+)
+def test_a_rate_plus_spots_agrees_with_the_pde(killing):
+    model, y = interval(1.0), 0.4
+    pde = fpe.split_statistics(model, killing, InitialCondition.point(y), GridSpec(400, 1e-3, 1.0))
+    mc = montecarlo.simulate_split(model, killing, y, cfg(dt=4e-3, n_trajectories=20000, seed=11))
+    for obs in ("p_killed", "mean_kill_time", "mean_absorb_time"):
+        assert abs(getattr(mc, obs) - getattr(pde, obs)) <= 4 * getattr(mc, obs + "_se"), obs
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.02, 0.04, 0.08])
@@ -327,25 +346,23 @@ def test_split_takes_each_event_at_its_step_midpoint():
 
 
 def _reference_kill(killing, x0, x1, D, dt):
-    """Per step, the cumulative kill probability over the spots (one row for
-    a rate field), straight from the formulas of the module docstring."""
+    """Per step, the cumulative kill probability over the sources of
+    killing, one row each: the rate (its trapezoid mean over the step, also
+    returned), then each spot of positive strength, straight from the
+    formulas of the module docstring."""
     from scipy.special import erfcx
 
-    if killing.kind is KillingKind.DIRAC:
-        survive = np.ones_like(x0)
-        rows = []
-        for xs, k in killing.spots:
+    rate = (killing.smooth_rate(x0) + killing.smooth_rate(x1)) / 2
+    probabilities = [-np.expm1(-rate * dt)] if max(killing.rates) > 0 else []
+    for xs, k in killing.spots:
+        if k > 0:
             a, b = x0 - xs, x1 - xs
-            p = (
+            probabilities.append(
                 k / 2 * math.sqrt(PI * dt / D)
                 * np.exp(-np.maximum(a * b, 0.0) / (D * dt))
                 * erfcx((np.abs(a) + np.abs(b) + k * dt) / (2 * math.sqrt(D * dt)))
             )
-            survive = survive * (1.0 - p)
-            rows.append(1.0 - survive)
-        return np.array(rows)
-    rate = (killing.smooth_rate(x0) + killing.smooth_rate(x1)) / 2
-    return -np.expm1(-rate * dt)[None, :]
+    return 1.0 - np.cumprod(1.0 - np.array(probabilities), axis=0), rate
 
 
 def _reference_worker(args):
@@ -402,12 +419,15 @@ def _reference_worker(args):
         exited = left | right
         killed = none
         if has_kill:
-            cumulative = _reference_kill(killing, x0, x1, D, dt)
+            cumulative, rate = _reference_kill(killing, x0, x1, D, dt)
             killed = u_kill < cumulative[-1]
-            if killing.kind is KillingKind.UNIFORM:
-                s = -np.log1p(-u_kill) / killing.v0
-            else:
-                s = np.full(m, dt / 2)
+            # the sources kill in turn: the first whose cumulative probability exceeds u
+            source = np.count_nonzero(cumulative <= u_kill, axis=0)
+            rated = max(killing.rates) > 0
+            sites = np.array([math.nan] * rated + [xs for xs, k in killing.spots if k > 0])
+            by_rate = killed & (source == 0) & rated
+            s = np.full(m, dt / 2)
+            s[by_rate] = -np.log1p(-u_kill[by_rate]) / rate[by_rate]
             # a kill and an exit in one step: the earlier ends it
             both = killed & exited
             if both.any():
@@ -417,14 +437,13 @@ def _reference_worker(args):
                 tau = dt * v / (1 + v)
                 killed[both] = s[both] < tau
             if killed.any():
-                if killing.kind is KillingKind.DIRAC:
-                    sites = np.array([xs for xs, _ in killing.spots])
-                    pos = sites[np.count_nonzero(cumulative[:, killed] <= u_kill[killed], axis=0)]
-                else:
-                    sk = s[killed]
+                pos = sites[source[killed]]
+                bridged = np.isnan(pos)
+                if bridged.any():
+                    sk = s[killed][bridged]
                     spread = np.sqrt(2 * D * sk * (dt - sk) / dt)
-                    a, b = x0[killed], x1[killed]
-                    pos = a + (b - a) * (sk / dt) + spread * rng.standard_normal(sk.size)
+                    a, b = x0[killed][bridged], x1[killed][bridged]
+                    pos[bridged] = a + (b - a) * (sk / dt) + spread * rng.standard_normal(sk.size)
                 idx = alive[killed]
                 fate[idx] = FATE_KILLED
                 x_end[idx] = np.clip(pos, 0.0, L)
@@ -445,6 +464,9 @@ KILLINGS = {
     "one-spot": KillingMeasure.dirac([(0.4, 2.0)]),
     "overlapping-spots": KillingMeasure.dirac([(0.45, 2.0), (0.5, 3.0)]),
     "piecewise": KillingMeasure.piecewise([0.3, 0.6], [0.5, 3.0, 1.0]),
+    # the paper's pumps on a background that also kills
+    "rate-plus-spot": KillingMeasure(rates=(1.0,), spots=((0.6, 2.0),)),
+    "piecewise-plus-two-spots": KillingMeasure((0.3, 0.6), (0.5, 3.0, 1.0), ((0.2, 2.0), (0.7, 3.0))),
 }
 
 

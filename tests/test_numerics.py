@@ -10,7 +10,6 @@ from killdiff.numerics import (
     SingularSystemError,
     banded_form,
     derivative_at_zero,
-    invert_laplace,
     solve_tridiagonal,
     sum_with_tail_bound,
 )
@@ -105,25 +104,3 @@ def test_derivative_at_zero_one_sided():
 
     d, _ = derivative_at_zero(f)
     assert d == pytest.approx(0.5, abs=1e-8)
-
-
-def test_derivative_custom_steps_validated():
-    with pytest.raises(ValueError):
-        derivative_at_zero(lambda q: q, steps=[0.1, 0.2])
-
-
-def test_invert_laplace_exponential():
-    a = 1.7
-    value, est = invert_laplace(lambda q: 1.0 / (q + a), t=1.0)
-    assert value == pytest.approx(math.exp(-a), abs=1e-5)
-    assert est <= 1e-5
-
-
-def test_invert_laplace_ramp():
-    value, _ = invert_laplace(lambda q: 1.0 / q**2, t=2.5)
-    assert value == pytest.approx(2.5, rel=1e-6)
-
-
-def test_invert_laplace_requires_positive_time():
-    with pytest.raises(ValueError):
-        invert_laplace(lambda q: 1.0 / q, t=0.0)
