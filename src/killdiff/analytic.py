@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AccuracyError, SeriesControl, sum_with_tail_bound
+from .numerics import SERIES_TAIL_TOLERANCE, AccuracyError, sum_with_tail_bound
 
 PI = math.pi
-
-DEFAULT_SERIES = SeriesControl(max_terms=100_000_000, tail_tolerance=1e-10)
 
 
 def free_kernel_const_killing(x: float, y: float, t: float, D: float, v0: float) -> float:
@@ -83,7 +81,7 @@ def green_series(x: float, y: float, t: float) -> float:
         lead = (2 / PI) * math.exp(-((n + 1) ** 2) * t)
         return lead / (1.0 - math.exp(-(2 * n + 3) * t))
 
-    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
+    value, _ = sum_with_tail_bound(term, tail)
     return value
 
 
@@ -102,7 +100,7 @@ def survival_series_free(t: float, y: float) -> float:
         lead = (4 / PI) / m * math.exp(-(m**2) * t)
         return lead / (1.0 - math.exp(-4 * (m + 1) * t))
 
-    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
+    value, _ = sum_with_tail_bound(term, tail)
     return value
 
 
@@ -125,7 +123,7 @@ def green_laplace_series(x: float, y: float, q: float) -> float:
     def tail(n):
         return (2 * q * q / PI) / (5 * n**5)
 
-    residual, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
+    residual, _ = sum_with_tail_bound(term, tail)
     return head + residual
 
 
@@ -155,7 +153,7 @@ def green_laplace(x: float, y: float, q: float) -> float:
     series = green_laplace_series(x, y, q)
     closed = green_laplace_closed(x, y, q)
     scale = max(abs(closed), 1.0)
-    if abs(series - closed) > max(DEFAULT_SERIES.tail_tolerance * scale, 1e-12):
+    if abs(series - closed) > max(SERIES_TAIL_TOLERANCE * scale, 1e-12):
         raise AccuracyError(
             f"resolvent series {series!r} and closed form {closed!r} disagree beyond tolerance"
         )
@@ -177,7 +175,7 @@ def survival_laplace_free(y: float, q: float) -> float:
         # sum over odd m > 2n-1 of 1/m^3, integral bound
         return (1 / PI) / (2 * n - 1) ** 2
 
-    value, _ = sum_with_tail_bound(term, tail, DEFAULT_SERIES)
+    value, _ = sum_with_tail_bound(term, tail)
     return value
 
 

@@ -69,7 +69,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import crosscheck, fpe, montecarlo
@@ -329,30 +329,19 @@ def _cmd_mc(args) -> int:
     _write_rows(
         _out_path(cfg.out_dir, args, "split.csv"),
         _SPLIT_HEADER,
-        [_split_row("mc", montecarlo.split_from_outcomes(out))],
+        [("mc", *astuple(montecarlo.split_from_outcomes(out)))],
     )
     return 0
 
 
-_SPLIT_HEADER = (
-    "method,p_killed,p_absorbed,mean_kill_time,mean_absorb_time,ratio_rinf,"
-    "p_killed_se,p_absorbed_se,mean_kill_time_se,mean_absorb_time_se,ratio_rinf_se"
-)
-
-
-def _split_row(method: str, s: SplitStatistics) -> Tuple[object, ...]:
-    return (
-        method, s.p_killed, s.p_absorbed, s.mean_kill_time, s.mean_absorb_time,
-        s.ratio_rinf, s.p_killed_se, s.p_absorbed_se, s.mean_kill_time_se,
-        s.mean_absorb_time_se, s.ratio_rinf_se,
-    )
+_SPLIT_HEADER = ",".join(["method", *(f.name for f in fields(SplitStatistics))])
 
 
 def _cmd_split(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     if args.method:
         cfg = replace(cfg, method=args.method)
-    rows = [_split_row(m, s) for m, s in _split_rows(cfg)]
+    rows = [(m, *astuple(s)) for m, s in _split_rows(cfg)]
     _write_rows(_out_path(cfg.out_dir, args, "split.csv"), _SPLIT_HEADER, rows)
     return 0
 

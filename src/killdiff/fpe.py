@@ -20,12 +20,14 @@ kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed only at
 the K steps it reports (every `stride`-th).  On m unknown nodes that costs
 O(m^2) for the eigenvectors, plus the powers r_j^n and 3 m K products.
 Strong drift makes S far from the identity and those sums cancel; where
-their round-off estimate is too large, `evolve` steps the scheme, one
-banded solve per step.  `decay_rate` is the top eigenvalue of
-the same symmetric form.  `split_statistics` does not step either: the
-Crank-Nicolson midpoint sums over an infinite horizon are, for every dt,
-(-A)^-1 u0 and A^-2 u0, so the split is two tridiagonal solves and is the
-exact infinite-horizon sum of the stepped scheme.
+their round-off estimate is too large, `evolve` steps the scheme, one solve
+per step with I - dt/2 A factored once.  `decay_rate` is the top
+eigenvalue of the same symmetric form.  `split_statistics` does not step
+either: the Crank-Nicolson midpoint sums over an infinite horizon are, for
+every dt, (-A)^-1 u0 and A^-2 u0, so the split is two solves with one
+factorization of -A and is the exact infinite-horizon sum of the stepped
+scheme.  Every solve applies LU factors with partial pivoting (LAPACK
+gttrf), made once per matrix, with LAPACK gttrs.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dstein
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dstein
 
 from .model import (
     BoundaryKind,
@@ -49,7 +52,7 @@ from .model import (
     SteadyStateSolution,
     require_valid,
 )
-from .numerics import AccuracyError, SingularSystemError, banded_form, solve_tridiagonal
+from .numerics import AccuracyError
 
 _log = logging.getLogger("killdiff")
 
@@ -125,6 +128,16 @@ def _bernoulli(x: float) -> float:
     if x > 0:
         return x * math.exp(-x) / -math.expm1(-x)
     return x / math.expm1(x) if x else 1.0
+
+
+def _lu_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """The solution x of M x = rhs from lu = dgttrf(lower, diag, upper), the
+    LU factors with partial pivoting of the tridiagonal M, by LAPACK gttrs;
+    all NaN when the factorization met an exactly zero pivot."""
+    *factors, info = lu
+    if info:
+        return np.full(rhs.size, math.nan)
+    return dgttrs(*factors, rhs)[0]
 
 
 class _Discretization:
@@ -215,14 +228,18 @@ class _Discretization:
         p[self.unknowns] = u
         return p
 
+    @cached_property
+    def neg_lu(self) -> tuple:
+        """The LU factors of -A, made at the first solve."""
+        return dgttrf(-self.lower, -self.diag, -self.upper)
+
     def solve(self, rhs: np.ndarray) -> Tuple[np.ndarray, list]:
-        """u = (-A)^-1 rhs on the unknown nodes and weights @ u, refused
-        when kill plus absorption misses the mass rhs puts in by over the
-        balance bound: drift holds mass exp(|a| L / D) at an undrained end."""
-        try:
-            u = solve_tridiagonal(-self.lower, -self.diag, -self.upper, rhs)
-        except SingularSystemError:
-            u = np.full(self.m, math.nan)
+        """u = (-A)^-1 rhs on the unknown nodes, from the factors neg_lu,
+        and weights @ u.  Refused when kill plus absorption misses the mass
+        rhs puts in by over the balance bound (drift holds mass
+        exp(|a| L / D) at an undrained end) or is not finite (an exactly
+        zero pivot)."""
+        u = _lu_solve(self.neg_lu, rhs)
         _, kill, absorbed = obs = (self.weights @ u).tolist()
         inflow = float(self.weights[0] @ rhs)
         residual = abs(kill + absorbed - inflow) / inflow
@@ -258,9 +275,10 @@ def evolve(
     reported steps.  Where drift makes the operator so far from normal that
     the round-off estimate of those sums exceeds 1e-10 S(0), or an injection
     problem has no steady state, the scheme is stepped instead (`_step`),
-    one banded solve per step.  Both routes give the iterates of the same
-    scheme; `FpeResult.route` says which one ran.  The frames, the final
-    density, the route and the round-off estimate do not depend on stride."""
+    one solve per step with I - dt/2 A factored once.  Both routes give the
+    iterates of the same scheme; `FpeResult.route` says which one ran.  The
+    frames, the final density, the route and the round-off estimate do not
+    depend on stride."""
     require_valid(model, killing, ic)
     if stride < 1 or stride != int(stride):
         raise InputError(f"stride must be a positive integer, got {stride!r}")
@@ -388,7 +406,7 @@ def _step(
 ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """The Crank-Nicolson step loop: the observables (3 x reported steps) at
     every stride-th step and the iterate at the steps in keep."""
-    m1 = banded_form(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
+    lu = dgttrf(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     m2_lo = dt / 2 * disc.lower
     m2_di = 1 + dt / 2 * disc.diag
     m2_up = dt / 2 * disc.upper
@@ -402,7 +420,7 @@ def _step(
             rhs = m2_di * u + dt * disc.source
             rhs[:-1] += m2_up * u[1:]
             rhs[1:] += m2_lo * u[:-1]
-            u = solve_banded((1, 1), m1, rhs, check_finite=False)
+            u = _lu_solve(lu, rhs)
             if step % 200 == 0 and not np.all(np.isfinite(u)):
                 raise AccuracyError(f"solution blew up at t={step * dt}")
         if step % stride == 0:

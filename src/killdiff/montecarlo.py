@@ -174,8 +174,9 @@ def _bridge_point(rng: np.random.Generator, x0, x1, s, D: float, dt: float) -> n
 
 class _KillLaw(NamedTuple):
     probability: Callable  # (x0, x1) -> kill probability of each step
-    time: Callable  # (x0, x1, u) -> in-step kill time of the steps killed with uniform u
-    position: Callable  # (rng, x0, x1, s, u) -> kill position of those steps
+    # (x0, x1, u) -> (in-step kill time, kill site) of the steps killed with
+    # uniform u; a NaN site marks a rate kill, at a bridge point
+    locate: Callable
 
 
 def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw]:
@@ -201,17 +202,14 @@ def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw
             r *= -dt
             return np.negative(np.expm1(r, out=r), out=r)
 
-    rate = _KillLaw(
-        probability,
-        lambda x0, x1, u: -np.log1p(-u) / mean_rate(x0, x1),
-        lambda rng, x0, x1, s, u: _bridge_point(rng, x0, x1, s, D, dt),
-    )
+    def rate_kill(x0, x1, u):
+        return -np.log1p(-u) / mean_rate(x0, x1), np.full(np.size(u), math.nan)
+
     rated = bool((rates > 0).any())
-    sources = [rate] * rated + [
+    sources = [_KillLaw(probability, rate_kill)] * rated + [
         _KillLaw(
             lambda x0, x1, xs=xs, k=k: _spot_kill_probability(x0, x1, xs, k, D, dt),
-            lambda x0, x1, u: np.full(np.size(u), dt / 2),
-            lambda rng, x0, x1, s, u, xs=xs: np.full(np.size(u), xs),
+            lambda x0, x1, u, xs=xs: (np.full(np.size(u), dt / 2), np.full(np.size(u), xs)),
         )
         for xs, k in spots
     ]
@@ -226,26 +224,16 @@ def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw
             np.subtract(1.0, law.probability(x0, x1), out=row)
         return np.subtract(1.0, np.cumprod(q, axis=0, out=q), out=q)
 
-    def site(x0, x1, u):
-        """Where each step is killed, NaN for the rate: the site of the first
-        source whose cumulative probability exceeds u."""
-        return sites[np.count_nonzero(killed_by(x0, x1) <= u, axis=0)]
-
-    def time(x0, x1, u):
+    def locate(x0, x1, u):
+        """The site of the first source whose cumulative probability exceeds
+        u, and the in-step time of that source's kill."""
+        site = sites[np.count_nonzero(killed_by(x0, x1) <= u, axis=0)]
         s = np.full(np.size(u), dt / 2)
-        if rated:
-            r = np.isnan(site(x0, x1, u))
-            s[r] = rate.time(x0[r], x1[r], u[r])
-        return s
+        r = np.isnan(site)
+        s[r] = rate_kill(x0[r], x1[r], u[r])[0]
+        return s, site
 
-    def position(rng, x0, x1, s, u):
-        pos = site(x0, x1, u)
-        if rated:
-            r = np.isnan(pos)
-            pos[r] = rate.position(rng, x0[r], x1[r], s[r], u[r])
-        return pos
-
-    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], time, position)
+    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], locate)
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,8 +319,8 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             x_end[idx] = 0.0 if left_abs else L
         dead = ev[killed[ev]] if kill is not None else ev[:0]
         if dead.size:
-            a, b, ud = x0[dead], x1[dead], u_kill[dead]
-            s = kill.time(a, b, ud)
+            a, b = x0[dead], x1[dead]
+            s, site = kill.locate(a, b, u_kill[dead])
             if exits:
                 # a kill and an exit in one step: the earlier ends it
                 at_left = left[dead] if left_abs else np.zeros(dead.size, dtype=bool)
@@ -342,10 +330,13 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                     d1 = np.where(at_left[both], b[both], L - b[both])
                     first = ~both
                     first[both] = s[both] < _crossing_time(rng, d0, d1, D, dt)
-                    dead, a, b, s, ud = dead[first], a[first], b[first], s[first], ud[first]
+                    dead, a, b, s, site = dead[first], a[first], b[first], s[first], site[first]
+            r = np.flatnonzero(np.isnan(site))
+            if r.size:  # rate kills, at a bridge point
+                site[r] = _bridge_point(rng, a[r], b[r], s[r], D, dt)
             idx = alive[dead]
             fate[idx] = FATE_KILLED
-            x_end[idx] = np.clip(kill.position(rng, a, b, s, ud), 0.0, L)
+            x_end[idx] = np.clip(site, 0.0, L)
         keep = ~events
         m -= ev.size
         x0_buf = x1[keep]

@@ -1,97 +1,50 @@
-"""Shared numerical kernels: bounded series summation, tridiagonal solves
-and one-sided differentiation at zero."""
+"""Shared numerical kernels: bounded series summation and one-sided
+differentiation at zero."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+# a series is summed until its tail bound is at most SERIES_TAIL_TOLERANCE,
+# within SERIES_MAX_TERMS terms
+SERIES_TAIL_TOLERANCE = 1e-10
+SERIES_MAX_TERMS = 100_000_000
 
 
 class AccuracyError(RuntimeError):
     """A requested tolerance could not be certified."""
 
 
-class SingularSystemError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    max_terms: int = 100_000_000
-    tail_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be positive")
-
-
 def sum_with_tail_bound(
     term_fn: Callable[[np.ndarray], np.ndarray],
     tail_bound_fn: Callable[[int], float],
-    ctl: SeriesControl,
 ) -> Tuple[float, float]:
     """Sum term_fn(1) + term_fn(2) + ... until tail_bound_fn(n), a valid bound
-    on the absolute remainder after n terms, drops below ctl.tail_tolerance.
+    on the absolute remainder after n terms, drops to SERIES_TAIL_TOLERANCE.
 
     term_fn is evaluated on index arrays (chunked, geometrically growing) so
     slowly converging series remain affordable.  Returns (value, achieved
-    bound).  Raises AccuracyError when max_terms is insufficient.
+    bound).  Raises AccuracyError when SERIES_MAX_TERMS terms are not enough.
     """
     total = 0.0
     n = 0
     chunk = 64
-    while n < ctl.max_terms:
-        hi = min(n + chunk, ctl.max_terms)
+    while n < SERIES_MAX_TERMS:
+        hi = min(n + chunk, SERIES_MAX_TERMS)
         idx = np.arange(n + 1, hi + 1, dtype=np.int64)
         total += float(np.sum(term_fn(idx)))
         n = hi
         bound = float(tail_bound_fn(n))
-        if bound <= ctl.tail_tolerance:
+        if bound <= SERIES_TAIL_TOLERANCE:
             return total, bound
         chunk = min(chunk * 2, 1 << 22)
     raise AccuracyError(
         f"series tail bound {tail_bound_fn(n):.3g} after {n} terms exceeds "
-        f"tolerance {ctl.tail_tolerance:.3g}"
+        f"tolerance {SERIES_TAIL_TOLERANCE:.3g}"
     )
-
-
-def solve_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve a tridiagonal system with `scipy.linalg.solve_banded`, which for
-    (1, 1) bands is LAPACK gtsv: Gaussian elimination with partial pivoting.
-
-    lower has length n-1 (sub-diagonal), diag length n, upper length n-1.
-    Raises SingularSystemError when elimination meets an exactly zero pivot.
-    """
-    diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if lower.size != n - 1 or upper.size != n - 1 or rhs.size != n:
-        raise ValueError("inconsistent tridiagonal system sizes")
-    ab = banded_form(lower, diag, upper)
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-
-def banded_form(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Pack a tridiagonal system into scipy's (1, 1) banded layout."""
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
 
 
 def derivative_at_zero(

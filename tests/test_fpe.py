@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.lapack import dgttrf
 
 from killdiff import analytic, crosscheck, fpe
 from killdiff.analytic import PI
@@ -300,6 +301,62 @@ def test_operator_is_the_finite_volume_stencil(left, right, cells):
     np.testing.assert_allclose(disc.weights, weights, rtol=1e-13, atol=0)
 
 
+def dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_lu_solve_on_systems_that_pivot(n, seed):
+    # off-diagonals larger than the diagonal: not diagonally dominant, and
+    # |diag[0]| < |lower[0]| swaps the first two rows
+    rng = np.random.default_rng(seed)
+    lower = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(1, 3, n - 1)
+    diag = rng.uniform(-0.5, 0.5, n)
+    upper = rng.uniform(-3, 3, n - 1)
+    rhs = rng.uniform(-5, 5, n)
+    lu = dgttrf(lower, diag, upper)
+    assert lu[4][0] == 2
+    matrix = dense(lower, diag, upper)
+    cond = np.linalg.cond(matrix)
+    assume(cond < 1e8)
+    expected = np.linalg.solve(matrix, rhs)
+    error = np.linalg.norm(fpe._lu_solve(lu, rhs) - expected)
+    assert error <= 1e-13 * cond * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("peclet", [0.0, 0.5, 5.0, -5.0])
+@pytest.mark.parametrize("right", ENDS)
+@pytest.mark.parametrize("left", ENDS)
+def test_lu_solve_on_the_operator_and_the_crank_nicolson_matrix(left, right, peclet):
+    # -A and I - dt/2 A at cell Peclet |a| dx / (2 D) up to 5; uniform
+    # killing keeps -A invertible between closed ends
+    cells, D, dt = 16, 0.5, 1e-2
+    model = interval(1.0, left, right, diffusion=D, drift=2 * D * cells * peclet, phi=1.0)
+    disc = fpe._Discretization(model, KillingMeasure.uniform(1.0), cells)
+    assert disc.peclet == pytest.approx(abs(peclet))
+    a = dense(disc.lower, disc.diag, disc.upper)
+    cn = dgttrf(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
+    rhs = np.random.default_rng(0).uniform(0.5, 1.5, disc.m)
+    for lu, matrix in ((disc.neg_lu, -a), (cn, np.eye(disc.m) - dt / 2 * a)):
+        np.testing.assert_allclose(fpe._lu_solve(lu, rhs), np.linalg.solve(matrix, rhs), rtol=1e-12)
+
+
+def test_an_exactly_singular_system_is_refused():
+    # two equal rows, [1, 1, 0]: the last pivot is exactly zero
+    lu = dgttrf(np.ones(2), np.ones(3), np.array([1.0, 0.0]))
+    assert lu[-1] == 3
+    assert np.isnan(fpe._lu_solve(lu, np.ones(3))).all()
+    # drift 500 against a reflecting end on 100 cells: -A is exactly singular
+    # in double precision
+    model = interval(1.0, "absorbing", "reflecting", drift=500.0)
+    disc = fpe._Discretization(model, KillingMeasure.zero(), 100)
+    assert disc.neg_lu[-1] > 0
+    assert np.isnan(fpe._lu_solve(disc.neg_lu, np.ones(disc.m))).all()
+    with pytest.raises(InputError, match=r"\(not finite\)"):
+        disc.solve(disc.initial_vector(InitialCondition.point(0.5)))
+
+
 def test_observable_series_ratio_handles_zero_kill_rate():
     res = fpe.evolve(
         interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0), GridSpec(100, 1e-2, 0.1)
@@ -318,7 +375,7 @@ def test_frames_are_emitted_at_requested_times():
 
 def stepped_evolve(monkeypatch, *args, **kwargs):
     """The reference: `evolve` with the spectral route refused, so the
-    scheme is stepped one banded solve at a time."""
+    scheme is stepped one solve at a time."""
     with monkeypatch.context() as patch:
         patch.setattr(fpe, "_SPECTRAL_ROUNDOFF", -math.inf)
         return fpe.evolve(*args, **kwargs)

@@ -284,7 +284,9 @@ def test_kill_probability_of_a_rate_field():
     np.testing.assert_allclose(piecewise.probability(x0, x1), expected, rtol=1e-15)
     # a step killed by the rate dies at the in-step time of its trapezoid mean rate
     u = np.array([0.002, 0.03, 0.01])
-    np.testing.assert_allclose(piecewise.time(x0, x1, u), -np.log1p(-u) / [1.0, 5.0, 3.0], rtol=1e-15)
+    s, site = piecewise.locate(x0, x1, u)
+    np.testing.assert_allclose(s, -np.log1p(-u) / [1.0, 5.0, 3.0], rtol=1e-15)
+    assert np.isnan(site).all()
 
 
 # --- statistical checks at large steps -------------------------------------------
