@@ -9,7 +9,7 @@ Scenario configs are INI files with sections:
                  spots = "x:strength, x:strength", breakpoints, rates
     [initial]    y
     [method]     method (analytic|pde|mc|all), cells, dt, t_max,
-                 mc_dt, mc_n, mc_seed, mc_workers
+                 mc_dt, mc_n, mc_seed
     [output]     dir
 
 Each killing kind states a piecewise-constant rate plus point spots; with
@@ -20,20 +20,18 @@ length/time).  `dt` and `t_max` set the steps of `pde` evolution only:
 `split --method pde` is the exact infinite-horizon sum of the
 Crank-Nicolson scheme and depends on `cells` alone.
 
-The MC worker count is `--workers`, else the KILLDIFF_WORKERS environment
-variable, else the config's `mc_workers`; it must be an integer >= 1.
+The MC worker count is `--workers` (a positive integer, default 1).
 
-CSV schemas (stable):
+CSV schemas (stable; `crosscheck.write_rows` writes every file):
     survival.csv   t,survival,stderr
-    split.csv      method,p_killed,p_absorbed,mean_kill_time,
-                   mean_absorb_time,ratio_rinf,(same)_se
-    steady.csv     quantity,value          (injected/absorbed/kill/ratio_rs)
-    green.csv      quantity,value          (absorbed/kill/ratio_rinf)
+    split.csv      method, then the fields of `model.SplitStatistics`
+    steady.csv     quantity,value: the scalar fields of `model.SteadyStateSolution`
+    green.csv      quantity,value: the scalar fields of `fpe.GreenSteadyResult`
     analytic.csv   name,value
     sweep.csv      param,value,observable,method,result
     histogram.csv  bin_left,bin_right,density
-    report.csv     scenario,observable,method_a,value_a,method_b,value_b,
-                   sigma,tol,passed,note
+    report.csv     the fields of `crosscheck.Comparison`
+    discrepancies.csv  the fields of `crosscheck.Discrepancy`
 
 Every subcommand parses its config, calls the library and writes the
 result.  `analytic`, `split --method analytic` and the analytic rows of a
@@ -98,7 +96,7 @@ _SCHEMA: Dict[str, Tuple[str, ...]] = {
     "killing": ("kind", "v0", "spots", "breakpoints", "rates"),
     "initial": ("y",),
     "method": (
-        "method", "cells", "dt", "t_max", "mc_dt", "mc_n", "mc_seed", "mc_workers",
+        "method", "cells", "dt", "t_max", "mc_dt", "mc_n", "mc_seed",
     ),
     "output": ("dir",),
 }
@@ -182,13 +180,12 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
         dt=float(m.get("mc_dt", 1e-3)),
         n_trajectories=int(m.get("mc_n", 10000)),
         seed=int(m.get("mc_seed", 0)),
-        workers=int(m.get("mc_workers", 1)),
     )
     out_dir = cp["output"]["dir"] if "output" in cp and "dir" in cp["output"] else "."
 
-    report = validate_problem(model, killing, InitialCondition.point(y))
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    violations = validate_problem(model, killing, InitialCondition.point(y))
+    if violations:
+        raise ConfigError("; ".join(violations))
     return ScenarioConfig(model, killing, y, method, grid, mc, out_dir)
 
 
@@ -200,41 +197,15 @@ def _out_path(cfg_dir: str, args, name: str) -> str:
     return os.path.join(d, name)
 
 
-def _write_rows(path: str, header: str, rows: Sequence[Sequence[object]]) -> None:
-    """One CSV line per row: a float cell (np.float64 too) as repr(float(v)),
-    any other cell as str(v)."""
-    lines = [
-        ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
-        for row in rows
-    ]
-    with open(path, "w", newline="") as f:
-        f.write("\n".join([header, *lines, ""]))
+def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    crosscheck.write_rows(path, header, rows)
     print(f"wrote {path}")
 
 
-def _workers(args, default: int) -> int:
-    """MC worker count: --workers, else KILLDIFF_WORKERS, else default."""
-    if args.workers is not None:
-        value, source = args.workers, "--workers"
-    else:
-        text = os.environ.get("KILLDIFF_WORKERS", "")
-        if not text:
-            return default
-        source = "KILLDIFF_WORKERS"
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"{source} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be at least 1, got {value}")
-    return value
-
-
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    mc = cfg.mc
+    mc = replace(cfg.mc, workers=args.workers)
     if args.seed is not None:
         mc = replace(mc, seed=args.seed)
-    mc = replace(mc, workers=_workers(args, mc.workers))
     return replace(cfg, mc=mc)
 
 
@@ -270,43 +241,33 @@ def _cmd_analytic(args) -> int:
     forms = crosscheck.closed_forms(cfg.model, cfg.killing, cfg.y)
     if not forms:
         raise ConfigError("no closed form applies to this scenario")
-    _write_rows(_out_path(cfg.out_dir, args, "analytic.csv"), "name,value", list(forms.items()))
+    path = _out_path(cfg.out_dir, args, "analytic.csv")
+    _write_rows(path, ("name", "value"), list(forms.items()))
     return 0
 
 
 def _cmd_pde(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
+    if args.mode == "evolve":
+        res = fpe.evolve(
+            cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid, stride=args.stride
+        )
+        s = res.series
+        rows = [(t, sv, 0.0) for t, sv in zip(s.times.tolist(), s.survival.tolist())]
+        _write_rows(
+            _out_path(cfg.out_dir, args, "survival.csv"), ("t", "survival", "stderr"), rows
+        )
+        return 0
     if args.mode == "steady":
-        sol = fpe.steady_state(cfg.model, cfg.killing, cfg.grid)
-        _write_rows(
-            _out_path(cfg.out_dir, args, "steady.csv"),
-            "quantity,value",
-            [
-                ("injected_flux", sol.injected_flux),
-                ("absorbed_flux", sol.absorbed_flux),
-                ("kill_integral", sol.kill_integral),
-                ("ratio_rs", sol.ratio_rs),
-            ],
-        )
-        return 0
-    if args.mode == "green":
-        gr = fpe.green_steady(cfg.model, cfg.killing, cfg.y, cfg.grid)
-        _write_rows(
-            _out_path(cfg.out_dir, args, "green.csv"),
-            "quantity,value",
-            [
-                ("absorbed_flux", gr.absorbed_flux),
-                ("kill_integral", gr.kill_integral),
-                ("ratio_rinf", gr.ratio_rinf),
-            ],
-        )
-        return 0
-    res = fpe.evolve(
-        cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid, stride=args.stride
+        result = fpe.steady_state(cfg.model, cfg.killing, cfg.grid)
+    else:
+        result = fpe.green_steady(cfg.model, cfg.killing, cfg.y, cfg.grid)
+    values = [(f.name, getattr(result, f.name)) for f in fields(result)]
+    _write_rows(
+        _out_path(cfg.out_dir, args, f"{args.mode}.csv"),
+        ("quantity", "value"),
+        [(name, v) for name, v in values if isinstance(v, float)],
     )
-    s = res.series
-    rows = [(t, sv, 0.0) for t, sv in zip(s.times.tolist(), s.survival.tolist())]
-    _write_rows(_out_path(cfg.out_dir, args, "survival.csv"), "t,survival,stderr", rows)
     return 0
 
 
@@ -316,14 +277,14 @@ def _cmd_mc(args) -> int:
     times, surv, se = montecarlo.survival_curve(out, args.points)
     _write_rows(
         _out_path(cfg.out_dir, args, "survival.csv"),
-        "t,survival,stderr",
+        ("t", "survival", "stderr"),
         list(zip(times, surv, se)),
     )
     if args.histogram and out.killed.any():
         edges, density = montecarlo.kill_location_histogram(out, min_events=1)
         _write_rows(
             _out_path(cfg.out_dir, args, "histogram.csv"),
-            "bin_left,bin_right,density",
+            ("bin_left", "bin_right", "density"),
             list(zip(edges, edges[1:], density)),
         )
     _write_rows(
@@ -334,7 +295,7 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-_SPLIT_HEADER = ",".join(["method", *(f.name for f in fields(SplitStatistics))])
+_SPLIT_HEADER = ("method", *(f.name for f in fields(SplitStatistics)))
 
 
 def _cmd_split(args) -> int:
@@ -406,7 +367,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"{args.param}={v}: {exc}") from exc
     _write_rows(
         _out_path(cfg.out_dir, args, "sweep.csv"),
-        "param,value,observable,method,result",
+        ("param", "value", "observable", "method", "result"),
         rows,
     )
     return 0
@@ -414,7 +375,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    report = crosscheck.run_matrix(seed=seed, workers=_workers(args, 1))
+    report = crosscheck.run_matrix(seed=seed, workers=args.workers)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     report.write_csv(os.path.join(out, "report.csv"))
@@ -443,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the MC seed")
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="MC worker count (default: KILLDIFF_WORKERS env var or config)",
+        "--workers", type=_positive_int, default=1, help="MC worker count (default 1)"
     )
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,9 +5,10 @@ machine-readable report."""
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import analytic
 from .analytic import PI, UnitScaling
@@ -79,23 +80,29 @@ class ComparisonReport:
         return "\n".join(lines)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(
-                "scenario,observable,method_a,value_a,method_b,value_b,"
-                "sigma,tol,passed,note\n"
-            )
-            for r in self.rows:
-                f.write(
-                    f"{r.scenario},{r.observable},{r.method_a},{r.value_a!r},"
-                    f"{r.method_b},{r.value_b!r},{r.sigma!r},{r.tol!r},"
-                    f"{int(r.passed)},{r.note}\n"
-                )
+        write_rows(path, [f.name for f in fields(Comparison)], map(astuple, self.rows))
 
     def write_discrepancies_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("name,paper_value,derived_value,note\n")
-            for d in self.discrepancies:
-                f.write(f"{d.name},{d.paper_value!r},{d.derived_value!r},{d.note}\n")
+        write_rows(path, [f.name for f in fields(Discrepancy)], map(astuple, self.discrepancies))
+
+
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a CSV file: the header, then one line per row.  A float cell
+    (np.float64 too) is written as repr(float(v)), a bool as 0 or 1 and any
+    other cell as str(v); a cell holding a comma, quote or newline is
+    quoted.  Every CSV file the package writes goes through here."""
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(
+            [
+                repr(float(v)) if isinstance(v, float)
+                else int(v) if isinstance(v, bool)
+                else str(v)
+                for v in row
+            ]
+            for row in rows
+        )
 
 
 def _compare(
@@ -108,10 +115,7 @@ def _compare(
     tol: float,
     sigma: float = 0.0,
 ) -> Comparison:
-    if math.isinf(va) and math.isinf(vb):
-        passed = True
-    else:
-        passed = abs(va - vb) <= tol
+    passed = (math.isinf(va) and math.isinf(vb)) or bool(abs(va - vb) <= tol)
     return Comparison(scenario, observable, a, va, b, vb, sigma, tol, passed)
 
 

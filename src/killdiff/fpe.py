@@ -482,7 +482,7 @@ def steady_state(
     u, (_, kill, absorbed) = disc.solve(disc.source)
     injected = dom.left.phi if dom.left.kind is BoundaryKind.INJECTION else dom.right.phi
     ratio = absorbed / kill if kill > 0 else math.inf
-    return SteadyStateSolution(disc.x, disc.full(u), absorbed, injected, kill, ratio)
+    return SteadyStateSolution(disc.x, disc.full(u), injected, absorbed, kill, ratio)
 
 
 def green_steady(

@@ -32,18 +32,6 @@ class BoundaryBehavior:
     kind: BoundaryKind
     phi: float = 0.0  # inward probability flux, 1/time; only for INJECTION
 
-    @staticmethod
-    def absorbing() -> "BoundaryBehavior":
-        return BoundaryBehavior(BoundaryKind.ABSORBING)
-
-    @staticmethod
-    def reflecting() -> "BoundaryBehavior":
-        return BoundaryBehavior(BoundaryKind.REFLECTING)
-
-    @staticmethod
-    def injection(phi: float) -> "BoundaryBehavior":
-        return BoundaryBehavior(BoundaryKind.INJECTION, phi)
-
 
 @dataclass(frozen=True)
 class Domain1D:
@@ -152,29 +140,19 @@ class SplitStatistics:
 class SteadyStateSolution:
     x: np.ndarray
     density: np.ndarray
-    absorbed_flux: float
     injected_flux: float
+    absorbed_flux: float
     kill_integral: float
     ratio_rs: float  # math.inf when the kill integral vanishes
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def validate_problem(
     model: DiffusionModel,
     killing: KillingMeasure,
     ic: Optional[InitialCondition] = None,
-) -> ValidationReport:
-    """Collect every violated invariant of the (model, killing, ic) triple.
-
-    Report-style: never raises.  An empty report means all three solver
+) -> Tuple[str, ...]:
+    """Every violated invariant of the (model, killing, ic) triple, as a
+    message each.  Never raises; an empty tuple means all three solver
     modules accept the problem without further errors.
     """
     bad = []
@@ -213,13 +191,13 @@ def validate_problem(
     if ic is not None and L > 0 and not (0 < ic.y < L):
         bad.append(f"point source at {ic.y} not strictly inside the interval (0, {L})")
 
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def require_valid(model: DiffusionModel, killing: KillingMeasure, ic: Optional[InitialCondition] = None) -> None:
-    report = validate_problem(model, killing, ic)
-    if not report.ok:
-        raise InputError("invalid problem: " + "; ".join(report.violations))
+    violations = validate_problem(model, killing, ic)
+    if violations:
+        raise InputError("invalid problem: " + "; ".join(violations))
 
 
 def interval(

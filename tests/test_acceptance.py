@@ -184,7 +184,7 @@ def test_criterion_8_spectral_decay():
 
 
 def test_criterion_9_convergence_orders():
-    # PDE: halving (dx, dt) reduces observable errors about fourfold
+    # PDE: halving dx reduces observable errors about fourfold
     model = interval(2.0)
     killing = KillingMeasure.uniform(1.0)
     ic = InitialCondition.point(0.7)

@@ -168,9 +168,12 @@ def test_write_rows_prints_each_cell_as_repr_of_a_float_or_str(tmp_path, capsys)
         (np.float64(1.0), 0.1, -0.0),
         (math.nan, math.inf, np.float64(-math.inf)),
         (3, "pde", np.float64(1e-300)),
+        (True, False, "x, y"),
     ]
-    _write_rows(str(path), "a,b,c", rows)
-    assert path.read_bytes() == b"a,b,c\n1.0,0.1,-0.0\nnan,inf,-inf\n3,pde,1e-300\n"
+    _write_rows(str(path), ("a", "b", "c"), rows)
+    assert path.read_bytes() == (
+        b'a,b,c\n1.0,0.1,-0.0\nnan,inf,-inf\n3,pde,1e-300\n1,0,"x, y"\n'
+    )
     assert capsys.readouterr().out == f"wrote {path}\n"
 
 
@@ -261,19 +264,6 @@ def test_analytic_subcommand_no_closed_form_errors(tmp_path, capsys):
     )
     assert main(["analytic", path]) == 2
     assert "no closed form" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["two", "-2"])
-@pytest.mark.parametrize("command", ["split", "crosscheck"])
-def test_bad_worker_count_rejected(tmp_path, capsys, monkeypatch, value, command):
-    monkeypatch.setenv("KILLDIFF_WORKERS", value)
-    argv = ["--out", str(tmp_path / "out"), command]
-    if command == "split":
-        argv += [write(tmp_path, MINIMAL), "--method", "pde"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: KILLDIFF_WORKERS")
-    assert value in err
 
 
 # drift that holds the mass against a closed end with nothing to drain it
@@ -504,12 +494,28 @@ def test_mc_width_is_an_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["mc", "--points", "0"], ["pde", "--stride", "-3"], ["pde", "--stride", "two"]],
-    ids=["points-0", "stride-negative", "stride-text"],
+    [
+        ["mc", "--points", "0"],
+        ["pde", "--stride", "-3"],
+        ["pde", "--stride", "two"],
+        ["split", "--workers", "0"],
+        ["split", "--workers", "two"],
+        ["crosscheck", "--workers", "-2"],
+    ],
+    ids=[
+        "points-0", "stride-negative", "stride-text",
+        "workers-0", "workers-text", "workers-negative",
+    ],
 )
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert main(["--out", str(out), argv[0], write(tmp_path, MINIMAL)] + argv[1:]) == 2
+    command, flag, value = argv
+    ini = [] if command == "crosscheck" else [write(tmp_path, MINIMAL)]
+    if flag == "--workers":  # a global option, given before the subcommand
+        args = [flag, value, command] + ini
+    else:
+        args = [command] + ini + [flag, value]
+    assert main(["--out", str(out)] + args) == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[1]}: must be a positive integer, got '{argv[2]}'" in err
+    assert f"argument {flag}: must be a positive integer, got '{value}'" in err
     assert not out.exists()

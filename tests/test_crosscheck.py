@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -61,6 +62,28 @@ def test_errors_are_recorded_not_raised():
     assert len(report.rows) == 1
     assert not report.rows[0].passed
     assert "InputError" in report.rows[0].note
+
+
+def test_report_csv_quotes_a_note_that_holds_a_comma(tmp_path):
+    # drift that traps the mass against the reflecting end: the PDE refuses
+    # the split with a note that holds commas
+    trapped = Scenario(
+        "trapped",
+        "split",
+        interval(1.0, "reflecting", "absorbing", diffusion=0.7, drift=-29.4),
+        KillingMeasure.zero(),
+        y=0.5,
+        mc=McConfig(dt=1e-3, n_trajectories=100),
+    )
+    report = run_matrix(scenarios=[trapped])
+    (row,) = report.rows
+    assert "misses the mass put in" in row.note and "," in row.note
+    path = tmp_path / "report.csv"
+    report.write_csv(path)
+    with open(path, newline="") as f:
+        cells = list(csv.reader(f))
+    assert [len(r) for r in cells] == [10, 10]
+    assert cells[1][-1] == row.note
 
 
 def test_default_matrix_spans_killing_kinds():
