@@ -5,16 +5,17 @@ Scenario configs are INI files with sections:
 
     [domain]     length, left, right (absorbing|reflecting|injection), phi
     [diffusion]  d, drift
-    [killing]    kind (zero|uniform|dirac|piecewise), v0,
-                 spots = "x:strength, x:strength", breakpoints, rates
+    [killing]    rates, breakpoints, spots = "x:strength, x:strength"
     [initial]    y
     [method]     method (analytic|pde|mc|all), cells, dt, t_max,
                  mc_dt, mc_n, mc_seed
     [output]     dir
 
-Each killing kind states a piecewise-constant rate plus point spots; with
-no positive rate or strength (v0 = 0, say) it is zero killing.  Unknown
-sections or keys are rejected.  All quantities are dimensionless; supply
+`[killing]` states the one killing measure, `model.KillingMeasure`: a rate
+that is constant between breakpoints (one more rate than breakpoints;
+default one rate, 0, and no breakpoints) plus point spots (default none).
+With no positive rate or strength it is zero killing.  Unknown sections or
+keys are rejected.  All quantities are dimensionless; supply
 consistent units (d in length^2/time, rates in 1/time, spot strengths in
 length/time).  `dt` and `t_max` set the steps of `pde` evolution only:
 `split --method pde` is the exact infinite-horizon sum of the
@@ -43,8 +44,10 @@ multiples of `mc_dt`), the kill-location histogram (skipped when nothing
 was killed) and the split from it.
 
 `[initial] y` is the point every route starts from; no other initial
-condition exists.  `sweep --param v0` sets uniform killing at each value,
-zero killing at 0, and so refuses a dirac or piecewise scenario;
+condition exists.  A sweep edits one field of the measure and keeps the
+rest: `sweep --param v0` sets the one rate and keeps the spots, so it
+refuses a measure with breakpoints; `sweep --param spot_position` moves the
+one spot and keeps the rate, so it refuses any other number of spots.
 `sweep --param y` refuses a steady scenario, which has no start point.
 `pde --stride` sets the steps whose survival `pde` computes and writes:
 every stride-th (default 10), from t = 0.  `mc --points` and `pde --stride`
@@ -93,7 +96,7 @@ class ConfigError(Exception):
 _SCHEMA: Dict[str, Tuple[str, ...]] = {
     "domain": ("length", "left", "right", "phi"),
     "diffusion": ("d", "drift"),
-    "killing": ("kind", "v0", "spots", "breakpoints", "rates"),
+    "killing": ("rates", "breakpoints", "spots"),
     "initial": ("y",),
     "method": (
         "method", "cells", "dt", "t_max", "mc_dt", "mc_n", "mc_seed",
@@ -113,8 +116,8 @@ class ScenarioConfig:
     out_dir: str
 
 
-def _floats(text: str) -> List[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> Tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -148,24 +151,16 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
         phi=float(dom.get("phi", 0.0)),
     )
 
-    ks = cp["killing"] if "killing" in cp else {"kind": "zero"}
-    kind = ks.get("kind", "zero")
-    if kind == "zero":
-        killing = KillingMeasure.zero()
-    elif kind == "uniform":
-        killing = KillingMeasure.uniform(float(ks["v0"]))
-    elif kind == "dirac":
-        spots = []
-        for item in ks["spots"].split(","):
-            pos, _, strength = item.partition(":")
-            if not strength:
-                raise ConfigError(f"spot {item.strip()!r} must be 'position:strength'")
-            spots.append((float(pos), float(strength)))
-        killing = KillingMeasure.dirac(spots)
-    elif kind == "piecewise":
-        killing = KillingMeasure.piecewise(_floats(ks["breakpoints"]), _floats(ks["rates"]))
-    else:
-        raise ConfigError(f"unknown killing kind {kind!r}")
+    ks = cp["killing"] if "killing" in cp else {}
+    spots = []
+    for item in filter(str.strip, ks.get("spots", "").split(",")):
+        pos, _, strength = item.partition(":")
+        if not strength:
+            raise ConfigError(f"spot {item.strip()!r} must be 'position:strength'")
+        spots.append((float(pos), float(strength)))
+    killing = KillingMeasure(
+        _floats(ks.get("breakpoints", "")), _floats(ks.get("rates", "0")), tuple(spots)
+    )
 
     y = float(cp["initial"]["y"]) if "initial" in cp and "y" in cp["initial"] else length / 2
 
@@ -319,14 +314,13 @@ def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig
     elif param == "y":
         y = value
     elif param == "v0":
-        if not killing.is_zero and (killing.spots or len(killing.rates) != 1):
-            refused = "dirac" if killing.spots else "piecewise"
-            raise ConfigError(f"v0 sweep needs zero or uniform killing, not {refused}")
-        killing = KillingMeasure.uniform(value)
+        if killing.breakpoints:
+            raise ConfigError("v0 sweep sets one rate everywhere, so it refuses breakpoints")
+        killing = replace(killing, rates=(value,))
     elif param == "spot_position":
-        if len(killing.spots) != 1 or any(killing.rates):
-            raise ConfigError("spot_position sweep needs a single-spot point killing")
-        killing = KillingMeasure.dirac([(value, killing.spots[0][1])])
+        if len(killing.spots) != 1:
+            raise ConfigError("spot_position sweep needs exactly one spot")
+        killing = replace(killing, spots=((value, killing.spots[0][1]),))
     elif param == "drift":
         model = DiffusionModel(model.domain, model.diffusion, value)
     elif param == "diffusion":

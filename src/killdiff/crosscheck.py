@@ -223,7 +223,7 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
             "zero-absorbing",
             "split",
             interval(PI),
-            KillingMeasure.zero(),
+            KillingMeasure(),
             y=PI / 2,
             grid=GridSpec(200, 2e-3, 10.0),
             mc=mc(8e-2, i=1),

@@ -57,7 +57,7 @@ class KillingKind(Enum):
 @dataclass(frozen=True)
 class KillingMeasure:
     """A rate that is constant between breakpoints (rates[i] on the i-th
-    piece, one more rate than breakpoints) plus point spots.  zero, uniform,
+    piece, one more rate than breakpoints) plus point spots.  uniform,
     dirac and piecewise are constructors of this one shape; a measure with
     no positive rate and no positive spot is zero killing however it is
     stated."""
@@ -66,10 +66,6 @@ class KillingMeasure:
     rates: Tuple[float, ...] = (0.0,)
     # (position, strength) pairs; strength has units length/time
     spots: Tuple[Tuple[float, float], ...] = ()
-
-    @staticmethod
-    def zero() -> "KillingMeasure":
-        return KillingMeasure()
 
     @staticmethod
     def uniform(v0: float) -> "KillingMeasure":
@@ -90,8 +86,8 @@ class KillingMeasure:
     @property
     def kind(self) -> KillingKind:
         """The constructor that states this measure.  Kept for `bench/`
-        until its next change (ROADMAP item 1); a rate mixed with spots,
-        which no scenario file states, has none."""
+        until its next change (ROADMAP item 2); a rate mixed with spots has
+        none."""
         if self.is_zero:
             return KillingKind.ZERO
         if not any(r > 0 for r in self.rates):
@@ -103,7 +99,7 @@ class KillingMeasure:
     @property
     def v0(self) -> float:
         """The rate of a one-piece measure, else 0.  Kept for `bench/`
-        until its next change (ROADMAP item 1)."""
+        until its next change (ROADMAP item 2)."""
         return self.rates[0] if len(self.rates) == 1 else 0.0
 
     def smooth_rate(self, x: np.ndarray) -> np.ndarray:

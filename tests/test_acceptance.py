@@ -170,11 +170,11 @@ def test_criterion_7_conditional_mfpt_adjudication():
 
 
 def test_criterion_8_spectral_decay():
-    errs = [abs(fpe.decay_rate(interval(PI), KillingMeasure.zero(), n) - 1.0) for n in (200, 400)]
+    errs = [abs(fpe.decay_rate(interval(PI), KillingMeasure(), n) - 1.0) for n in (200, 400)]
     ok = errs[0] < 1e-3 and errs[1] < 1e-3 and errs[1] < errs[0]
     for v0 in (0.5, 2.0):
         shift = fpe.decay_rate(interval(PI), KillingMeasure.uniform(v0), 200) - fpe.decay_rate(
-            interval(PI), KillingMeasure.zero(), 200
+            interval(PI), KillingMeasure(), 200
         )
         ok = ok and abs(shift - v0) < 1e-9
     table = {d.name: d for d in crosscheck.build_discrepancy_table()}

@@ -6,7 +6,7 @@ import pytest
 
 from killdiff import montecarlo
 from killdiff.cli import ConfigError, _write_rows, main, parse_config
-from killdiff.model import BoundaryKind, KillingKind
+from killdiff.model import BoundaryKind, KillingMeasure
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -22,8 +22,7 @@ MINIMAL = """
 length = 2.0
 
 [killing]
-kind = uniform
-v0 = 1.0
+rates = 1.0
 
 [initial]
 y = 0.7
@@ -40,7 +39,7 @@ def test_parse_minimal_config(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.model.domain.length == 2.0
     assert cfg.model.domain.left.kind is BoundaryKind.ABSORBING
-    assert cfg.killing.kind is KillingKind.UNIFORM
+    assert cfg.killing == KillingMeasure(rates=(1.0,))
     assert cfg.y == 0.7
     assert cfg.grid.cell_count == 100
     assert cfg.mc.n_trajectories == 500
@@ -51,10 +50,24 @@ def test_parse_dirac_spots(tmp_path):
     cfg = parse_config(
         write(
             tmp_path,
-            "[domain]\nlength = 1.0\n[killing]\nkind = dirac\nspots = 0.3:2.0, 0.7:3.0\n",
+            "[domain]\nlength = 1.0\n[killing]\nspots = 0.3:2.0, 0.7:3.0\n",
         )
     )
     assert cfg.killing.spots == ((0.3, 2.0), (0.7, 3.0))
+
+
+def test_parse_a_rate_with_spots(tmp_path):
+    cfg = parse_config(
+        write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nrates = 1.0\nspots = 0.6:2.0\n")
+    )
+    assert cfg.killing == KillingMeasure(rates=(1.0,), spots=((0.6, 2.0),))
+
+
+@pytest.mark.parametrize("line", ["kind = uniform", "v0 = 1.0"])
+def test_kind_and_v0_are_unknown_keys(tmp_path, capsys, line):
+    path = write(tmp_path, MINIMAL.replace("rates = 1.0", line))
+    assert main(["split", path]) == 2
+    assert f"unknown key {line.split()[0]!r} in section [killing]" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -75,13 +88,13 @@ def test_missing_file_rejected():
 
 
 def test_invalid_problem_rejected(tmp_path):
-    path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nkind = uniform\nv0 = -1\n")
+    path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nrates = -1\n")
     with pytest.raises(ConfigError, match="non-negative"):
         parse_config(path)
 
 
 def test_malformed_spot_rejected(tmp_path):
-    path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nkind = dirac\nspots = 0.5\n")
+    path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nspots = 0.5\n")
     with pytest.raises(ConfigError, match="position:strength"):
         parse_config(path)
 
@@ -112,7 +125,6 @@ def test_split_all_methods_csv(tmp_path, capsys):
 length = 3.141592653589793
 
 [killing]
-kind = dirac
 spots = 2.0:1.0
 
 [initial]
@@ -147,8 +159,7 @@ right = injection
 phi = 1.0
 
 [killing]
-kind = uniform
-v0 = 4.0
+rates = 4.0
 
 [method]
 cells = 400
@@ -204,8 +215,7 @@ right = injection
 phi = 1.0
 
 [killing]
-kind = uniform
-v0 = 4.0
+rates = 4.0
 
 [method]
 cells = 200
@@ -260,7 +270,7 @@ def test_seed_makes_outputs_identical(tmp_path):
 def test_analytic_subcommand_no_closed_form_errors(tmp_path, capsys):
     path = write(
         tmp_path,
-        "[domain]\nlength = 1.0\n[killing]\nkind = piecewise\nbreakpoints = 0.5\nrates = 1.0 2.0\n",
+        "[domain]\nlength = 1.0\n[killing]\nbreakpoints = 0.5\nrates = 1.0 2.0\n",
     )
     assert main(["analytic", path]) == 2
     assert "no closed form" in capsys.readouterr().err
@@ -297,7 +307,7 @@ phi = 1.0
 drift = 80.0
 
 [killing]
-kind = {killing}
+{killing}
 
 [method]
 cells = {cells}
@@ -322,7 +332,7 @@ def test_trapped_split_exits_two(tmp_path, capsys, cells):
     ids=["pde", "sweep"],
 )
 def test_trapped_steady_state_exits_two(tmp_path, capsys, argv):
-    text = TRAPPED_STEADY.format(left="absorbing", killing="zero", cells=200)
+    text = TRAPPED_STEADY.format(left="absorbing", killing="rates = 0", cells=200)
     path = write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["--out", str(out), argv[0], path] + argv[1:]) == 2
@@ -336,7 +346,7 @@ def test_trapped_steady_state_exits_two(tmp_path, capsys, argv):
 def test_trapped_evolution_is_stepped(tmp_path):
     # the steady solve that the eigenbasis route needs is refused, so the
     # scheme is stepped; at 64 cells that solve once failed outright
-    text = TRAPPED_STEADY.format(left="reflecting", killing="dirac\nspots = 0.5:1.0", cells=64)
+    text = TRAPPED_STEADY.format(left="reflecting", killing="spots = 0.5:1.0", cells=64)
     out = tmp_path / "out"
     assert main(["--out", str(out), "pde", write(tmp_path, text + "[initial]\ny = 0.3\n")]) == 0
     rows = (out / "survival.csv").read_text().splitlines()[1:]
@@ -363,7 +373,7 @@ left = reflecting
 right = reflecting
 
 [killing]
-kind = zero
+rates = 0
 
 [initial]
 y = 0.5
@@ -401,7 +411,7 @@ def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
 
 def test_sweep_names_the_value_of_a_refused_input(tmp_path, capsys):
     text = REFLECTING_ZERO.replace("right = reflecting", "right = injection\nphi = 1.0")
-    path = write(tmp_path, text.replace("kind = zero", "kind = uniform\nv0 = 1.0"))
+    path = write(tmp_path, text.replace("rates = 0", "rates = 1.0"))
     argv = ["sweep", path, "--param", "v0", "--values", "2"]
     assert main(["--out", str(tmp_path / "out")] + argv) == 2
     err = capsys.readouterr().err
@@ -427,7 +437,7 @@ def test_mc_histogram_from_the_one_simulation(tmp_path, monkeypatch):
 
 
 def test_mc_histogram_without_kills_is_skipped(tmp_path):
-    path = write(tmp_path, MINIMAL.replace("kind = uniform\nv0 = 1.0", "kind = zero"))
+    path = write(tmp_path, MINIMAL.replace("rates = 1.0", "rates = 0"))
     out = tmp_path / "out"
     assert main(["--seed", "5", "--out", str(out), "mc", path, "--histogram"]) == 0
     assert (out / "survival.csv").exists() and (out / "split.csv").exists()
@@ -465,15 +475,41 @@ def test_split_analytic_writes_nan_for_a_mean_without_a_form(tmp_path, name):
     assert (values["mean_absorb_time"] == "nan") == (name != "free_interval")
 
 
-@pytest.mark.parametrize("ini,kind", [("dirac_reference.ini", "dirac"), ("piecewise_rates.ini", "piecewise")])
-def test_sweep_v0_refuses_a_killing_it_would_replace(tmp_path, capsys, ini, kind):
+def test_sweep_v0_refuses_breakpoints_it_would_collapse(tmp_path, capsys):
     out = tmp_path / "out"
-    argv = ["sweep", os.path.join(SCENARIOS, ini), "--param", "v0", "--values", "1,2"]
+    argv = ["sweep", os.path.join(SCENARIOS, "piecewise_rates.ini"), "--param", "v0", "--values", "1,2"]
     assert main(["--out", str(out)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: v0=1.0: ")
-    assert f"not {kind}" in err
+    assert "refuses breakpoints" in err
     assert not (out / "sweep.csv").exists()
+
+
+def sweep_rows_at(out, value):
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+    return {(observable, method): result for _, v, observable, method, result in rows if float(v) == value}
+
+
+def split_rows(out):
+    header, *rows = [ln.split(",") for ln in (out / "split.csv").read_text().splitlines()]
+    return {(name, row[0]): value for row in rows for name, value in zip(header, row)}
+
+
+@pytest.mark.parametrize(
+    "ini,param,value",
+    [("dirac_reference.ini", "v0", 0.0), ("pumps_on_background.ini", "spot_position", 0.6)],
+    ids=["v0-keeps-the-spot", "spot-position-keeps-the-rate"],
+)
+def test_sweep_edits_one_field_of_the_measure(tmp_path, ini, param, value):
+    # at the scenario's own value the swept measure is the scenario's, so
+    # the sweep's PDE rows are the split's to the last digit
+    path = os.path.join(SCENARIOS, ini)
+    argv = ["sweep", path, "--param", param, "--values", str(value)]
+    assert main(["--out", str(tmp_path / "sweep")] + argv) == 0
+    assert main(["--out", str(tmp_path / "split"), "split", path, "--method", "pde"]) == 0
+    swept, split = sweep_rows_at(tmp_path / "sweep", value), split_rows(tmp_path / "split")
+    for observable in ("p_killed", "ratio_rinf"):
+        assert swept[observable, "pde"] == split[observable, "pde"]
 
 
 def test_sweep_y_refuses_a_steady_scenario(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_report_csv_quotes_a_note_that_holds_a_comma(tmp_path):
         "trapped",
         "split",
         interval(1.0, "reflecting", "absorbing", diffusion=0.7, drift=-29.4),
-        KillingMeasure.zero(),
+        KillingMeasure(),
         y=0.5,
         mc=McConfig(dt=1e-3, n_trajectories=100),
     )
@@ -204,8 +204,8 @@ def test_steady_scenario_without_closed_form_holds_pde_against_mc():
 @pytest.mark.parametrize(
     "killing,diffusion,length,y",
     [
-        (KillingMeasure.zero(), 1.0, PI, 1.0),
-        (KillingMeasure.zero(), 0.4, 2.0, 1.5),
+        (KillingMeasure(), 1.0, PI, 1.0),
+        (KillingMeasure(), 0.4, 2.0, 1.5),
         (KillingMeasure.uniform(1.0), 1.0, 2.0, 0.7),
         (KillingMeasure.uniform(3.0), 0.5, 1.0, 0.2),
     ],
@@ -248,7 +248,7 @@ ENDS = ("absorbing", "reflecting", "injection")
     ids=["uniform-0", "no-spots", "spot-of-strength-0", "piecewise-0"],
 )
 def test_a_measure_that_kills_nowhere_is_zero_killing(killing, left, right):
-    model, y, zero = interval(1.0, left, right, phi=1.0), 0.3, KillingMeasure.zero()
+    model, y, zero = interval(1.0, left, right, phi=1.0), 0.3, KillingMeasure()
     ic, grid = InitialCondition.point(y), GridSpec(50, 1e-3, 1.0)
     config = McConfig(dt=1e-2, n_trajectories=50, seed=4)
     for route in (

@@ -31,7 +31,7 @@ def test_grid_spec_validation():
 
 def test_point_source_has_unit_mass():
     res = fpe.evolve(
-        interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0), GridSpec(100, 1e-3, 1e-3)
+        interval(PI), KillingMeasure(), InitialCondition.point(1.0), GridSpec(100, 1e-3, 1e-3)
     )
     assert res.series.survival[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -70,7 +70,7 @@ def test_uniform_killing_reflecting_survival_is_exponential():
 
 def test_survival_matches_eigenfunction_series():
     res = fpe.evolve(
-        interval(PI), KillingMeasure.zero(), InitialCondition.point(PI / 2), GridSpec(400, 5e-4, 2.0)
+        interval(PI), KillingMeasure(), InitialCondition.point(PI / 2), GridSpec(400, 5e-4, 2.0)
     )
     s = res.series
     for t in (0.5, 1.0, 2.0):
@@ -80,7 +80,7 @@ def test_survival_matches_eigenfunction_series():
 
 def test_split_statistics_free_exit_time():
     stats = fpe.split_statistics(
-        interval(PI), KillingMeasure.zero(), InitialCondition.point(PI / 2), GridSpec(200, 1e-3, 12.0)
+        interval(PI), KillingMeasure(), InitialCondition.point(PI / 2), GridSpec(200, 1e-3, 12.0)
     )
     assert stats.p_absorbed == pytest.approx(1.0, abs=1e-6)
     assert stats.p_killed == pytest.approx(0.0, abs=1e-9)
@@ -185,12 +185,12 @@ def test_green_steady_agrees_with_time_integrated_route():
 
 
 def test_decay_rate_free_interval():
-    lam = fpe.decay_rate(interval(PI), KillingMeasure.zero(), 400)
+    lam = fpe.decay_rate(interval(PI), KillingMeasure(), 400)
     assert lam == pytest.approx(1.0, abs=1e-3)
 
 
 def test_decay_rate_shifted_exactly_by_uniform_killing():
-    lam0 = fpe.decay_rate(interval(PI), KillingMeasure.zero(), 200)
+    lam0 = fpe.decay_rate(interval(PI), KillingMeasure(), 200)
     lam2 = fpe.decay_rate(interval(PI), KillingMeasure.uniform(2.0), 200)
     assert lam2 - lam0 == pytest.approx(2.0, abs=1e-9)
 
@@ -207,7 +207,7 @@ def test_unresolvable_decay_rate_is_refused(drift, cells):
     # returned -4.5e-13, -2.2e-11 and -5.8e-10, and +5.2e-11 at drift -21.1
     model = interval(1.0, "reflecting", "absorbing", diffusion=0.7, drift=drift)
     with pytest.raises(InputError, match="decay rate .* below what the eigenvalue solve resolves"):
-        fpe.decay_rate(model, KillingMeasure.zero(), cells)
+        fpe.decay_rate(model, KillingMeasure(), cells)
 
 
 @pytest.mark.parametrize("cells", [100, 400, 1600])
@@ -222,7 +222,7 @@ def test_resolvable_small_decay_rate_is_returned(cells):
     kappa = brentq(lambda k: math.tanh(k) - k / c, 1.0, c * (1 - 1e-15), xtol=1e-15)
     exact = D * (c * c - kappa * kappa)  # 8.93e-5
     model = interval(1.0, "reflecting", "absorbing", diffusion=D, drift=a)
-    rate = fpe.decay_rate(model, KillingMeasure.zero(), cells)
+    rate = fpe.decay_rate(model, KillingMeasure(), cells)
     assert rate == pytest.approx(exact, rel=18 / cells**2 + 1e-5)
 
 
@@ -350,7 +350,7 @@ def test_an_exactly_singular_system_is_refused():
     # drift 500 against a reflecting end on 100 cells: -A is exactly singular
     # in double precision
     model = interval(1.0, "absorbing", "reflecting", drift=500.0)
-    disc = fpe._Discretization(model, KillingMeasure.zero(), 100)
+    disc = fpe._Discretization(model, KillingMeasure(), 100)
     assert disc.neg_lu[-1] > 0
     assert np.isnan(fpe._lu_solve(disc.neg_lu, np.ones(disc.m))).all()
     with pytest.raises(InputError, match=r"\(not finite\)"):
@@ -359,14 +359,14 @@ def test_an_exactly_singular_system_is_refused():
 
 def test_observable_series_ratio_handles_zero_kill_rate():
     res = fpe.evolve(
-        interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0), GridSpec(100, 1e-2, 0.1)
+        interval(PI), KillingMeasure(), InitialCondition.point(1.0), GridSpec(100, 1e-2, 0.1)
     )
     assert np.all(np.isinf(res.series.ratio_rt))
 
 
 def test_frames_are_emitted_at_requested_times():
     res = fpe.evolve(
-        interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0),
+        interval(PI), KillingMeasure(), InitialCondition.point(1.0),
         GridSpec(100, 1e-2, 1.0), frame_times=[0.25, 0.5],
     )
     assert len(res.frames) == 2
@@ -450,7 +450,7 @@ def test_stride_reports_every_stride_th_step_on_either_route(ini, monkeypatch):
 def test_stride_must_be_a_positive_integer(stride):
     with pytest.raises(InputError, match="stride"):
         fpe.evolve(
-            interval(PI), KillingMeasure.zero(), InitialCondition.point(1.0),
+            interval(PI), KillingMeasure(), InitialCondition.point(1.0),
             GridSpec(100, 1e-2, 0.1), stride=stride,
         )
 
@@ -482,7 +482,7 @@ def test_roundoff_bound_covers_the_spectral_error(drift, monkeypatch):
     # The estimate leaves out an absolute floor from the eigenvectors'
     # orthogonality: 1.6e-13 at zero drift, under a bound of 8.9e-16
     args = (
-        interval(1.0, "reflecting", "reflecting", drift=drift), KillingMeasure.zero(),
+        interval(1.0, "reflecting", "reflecting", drift=drift), KillingMeasure(),
         InitialCondition.point(0.0625), GridSpec(16, 0.0625, 1.25),
     )
     res = fpe.evolve(*args)
@@ -497,7 +497,7 @@ def test_injection_without_steady_state_is_stepped():
     # reflecting far end and no killing: A is singular and every injected
     # particle stays, so S grows by phi t
     res = fpe.evolve(
-        interval(1.0, "reflecting", "injection", phi=0.5), KillingMeasure.zero(),
+        interval(1.0, "reflecting", "injection", phi=0.5), KillingMeasure(),
         InitialCondition.point(0.3), GridSpec(64, 1e-2, 2.0),
     )
     assert res.route == "stepped"
@@ -536,7 +536,7 @@ def drift_absorption_probability(v0):
 
 @pytest.mark.parametrize("cells", [50, 100, 200])
 def test_split_past_cell_peclet_one_meets_the_drift_closed_forms(cells):
-    free = drift_split(KillingMeasure.zero(), cells)
+    free = drift_split(KillingMeasure(), cells)
     assert free.p_absorbed == pytest.approx(1.0, abs=1e-13)
     assert free.mean_absorb_time == pytest.approx(drift_mean_exit_time(), rel=1e-12)
     # second order: the error was 1.2e-3, 1.7e-3 and 2.0e-3 over cells^2
@@ -549,7 +549,7 @@ def test_evolve_past_cell_peclet_one_sums_to_the_mean_exit_time():
     # outlasts every particle is h.(-A)^-1 u0, the mean exit time, at any dt
     model = interval(DRIFT["length"], drift=DRIFT["drift"])
     res = fpe.evolve(
-        model, KillingMeasure.zero(), InitialCondition.point(DRIFT["y"]), GridSpec(50, 1e-4, 0.1)
+        model, KillingMeasure(), InitialCondition.point(DRIFT["y"]), GridSpec(50, 1e-4, 0.1)
     )
     assert res.cell_peclet == pytest.approx(4.0)
     s = res.series.survival
@@ -623,7 +623,7 @@ def test_fine_grids_are_not_refused(length):
     with pytest.raises(InputError, match="misses the mass put in by 1 relative"):
         fpe.split_statistics(
             interval(length, "reflecting", "absorbing", diffusion=0.7, drift=-29.4 / length),
-            KillingMeasure.zero(), InitialCondition.point(0.5 * length), grid,
+            KillingMeasure(), InitialCondition.point(0.5 * length), grid,
         )
 
 
@@ -637,16 +637,20 @@ def valid_problems(draw):
         ("absorbing", "absorbing"), ("absorbing", "reflecting"), ("reflecting", "reflecting"),
         ("injection", "absorbing"), ("reflecting", "injection"),
     ]))
-    kind = draw(st.sampled_from(["zero", "uniform", "dirac", "piecewise"]))
+    kind = draw(st.sampled_from(["zero", "uniform", "dirac", "piecewise", "pumps"]))
     rate = st.floats(0.1, 5.0)
+    spot = st.tuples(st.floats(0.05, 0.95).map(lambda u: u * length), rate)
     if kind == "zero":
-        killing = KillingMeasure.zero()
+        killing = KillingMeasure()
     elif kind == "uniform":
         killing = KillingMeasure.uniform(draw(rate))
     elif kind == "dirac":
-        killing = KillingMeasure.dirac([(draw(st.floats(0.05, 0.95)) * length, draw(rate))])
-    else:
+        killing = KillingMeasure.dirac([draw(spot)])
+    elif kind == "piecewise":
         killing = KillingMeasure.piecewise([length / 2], [draw(st.floats(0.0, 5.0)), draw(rate)])
+    else:  # pumps on a killing background: a rate plus one or two spots
+        spots = draw(st.lists(spot, min_size=1, max_size=2))
+        killing = KillingMeasure(rates=(draw(rate),), spots=tuple(spots))
     model = interval(
         length, left, right, diffusion=diffusion, drift=drift, phi=draw(st.floats(0.1, 2.0))
     )

@@ -40,8 +40,8 @@ def test_valid_problem_reports_ok():
 @pytest.mark.parametrize(
     "model,killing,expect",
     [
-        (interval(-1.0), KillingMeasure.zero(), "length"),
-        (interval(1.0, diffusion=0.0), KillingMeasure.zero(), "diffusion"),
+        (interval(-1.0), KillingMeasure(), "length"),
+        (interval(1.0, diffusion=0.0), KillingMeasure(), "diffusion"),
         (interval(1.0), KillingMeasure.uniform(-1.0), "non-negative"),
         (interval(1.0), KillingMeasure.dirac([(1.5, 1.0)]), "inside the interval"),
         (interval(1.0), KillingMeasure.dirac([(0.5, -1.0)]), "non-negative"),
@@ -50,7 +50,7 @@ def test_valid_problem_reports_ok():
         (interval(1.0), KillingMeasure.piecewise([0.5, 1.5], [1.0, 1.0, 1.0]), "inside the interval"),
         (interval(1.0), KillingMeasure.piecewise([0.5], [1.0, float("nan")]), "non-negative"),
         (interval(1.0), KillingMeasure(rates=(1.0,), spots=((0.5, -1.0),)), "non-negative"),
-        (interval(1.0, "absorbing", "injection", phi=0.0), KillingMeasure.zero(), "flux"),
+        (interval(1.0, "absorbing", "injection", phi=0.0), KillingMeasure(), "flux"),
     ],
 )
 def test_invalid_problems_are_flagged(model, killing, expect):
@@ -80,7 +80,7 @@ def test_validation_never_raises_and_collects_everything():
 
 
 def test_point_ic_on_boundary_rejected():
-    assert validate_problem(interval(1.0), KillingMeasure.zero(), InitialCondition.point(0.0))
+    assert validate_problem(interval(1.0), KillingMeasure(), InitialCondition.point(0.0))
 
 
 def test_require_valid_raises_with_all_violations():
@@ -91,7 +91,7 @@ def test_require_valid_raises_with_all_violations():
 def test_two_injection_boundaries_rejected():
     inject = BoundaryBehavior(BoundaryKind.INJECTION, 1.0)
     model = DiffusionModel(Domain1D(1.0, inject, inject), 1.0)
-    violations = validate_problem(model, KillingMeasure.zero())
+    violations = validate_problem(model, KillingMeasure())
     assert any("at most one" in v for v in violations)
 
 
@@ -126,7 +126,7 @@ def test_dirac_measure_has_no_smooth_rate():
 
 
 def test_uniform_and_point_constructors_state_one_shape():
-    assert KillingMeasure.zero() == KillingMeasure.uniform(0.0) == KillingMeasure.dirac([])
+    assert KillingMeasure() == KillingMeasure.uniform(0.0) == KillingMeasure.dirac([])
     assert KillingMeasure.uniform(2.0) == KillingMeasure.piecewise([], [2.0])
     assert KillingMeasure.uniform(2.0).kind is KillingKind.UNIFORM
     assert KillingMeasure.piecewise([0.5], [0.0, 2.0]).kind is KillingKind.PIECEWISE

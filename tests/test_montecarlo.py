@@ -34,7 +34,7 @@ def test_config_validation():
 
 
 def test_every_trajectory_terminates_with_a_fate():
-    out = montecarlo.simulate_outcomes(interval(PI), KillingMeasure.zero(), 1.0, cfg())
+    out = montecarlo.simulate_outcomes(interval(PI), KillingMeasure(), 1.0, cfg())
     assert out.n == 2000
     assert np.all(out.absorbed)
     assert np.all((out.position == 0.0) | (out.position == PI))
@@ -93,7 +93,7 @@ def test_split_matches_pde_for_uniform_killing():
 def test_nonterminating_problem_rejected():
     model = interval(1.0, "reflecting", "reflecting")
     with pytest.raises(ValueError, match="never terminate"):
-        montecarlo.simulate_outcomes(model, KillingMeasure.zero(), 0.5, cfg())
+        montecarlo.simulate_outcomes(model, KillingMeasure(), 0.5, cfg())
 
 
 @pytest.mark.parametrize("left,right,y", [("absorbing", "reflecting", 0.0), ("reflecting", "absorbing", 1.0)])
@@ -320,7 +320,7 @@ def test_a_rate_plus_spots_agrees_with_the_pde(killing):
 def test_bridged_exits_give_the_mean_exit_time(dt):
     # a start away from the ends: no exit near t = 0, so the midpoint leaves no bias
     L, y, D = PI, 1.0, 1.0
-    stats = montecarlo.simulate_split(interval(L), KillingMeasure.zero(), y, cfg(dt=dt, n_trajectories=40000))
+    stats = montecarlo.simulate_split(interval(L), KillingMeasure(), y, cfg(dt=dt, n_trajectories=40000))
     exact = y * (L - y) / (2 * D)
     assert abs(stats.mean_absorb_time - exact) <= 3 * stats.mean_absorb_time_se
 
@@ -461,7 +461,7 @@ def _reference_worker(args):
 
 
 KILLINGS = {
-    "zero": KillingMeasure.zero(),
+    "zero": KillingMeasure(),
     "uniform": KillingMeasure.uniform(3.0),
     "one-spot": KillingMeasure.dirac([(0.4, 2.0)]),
     "overlapping-spots": KillingMeasure.dirac([(0.45, 2.0), (0.5, 3.0)]),
