@@ -2,32 +2,34 @@
 
 Discretization: node-centered finite volumes on [0, L] (half cells at
 reflecting/injection ends), face fluxes J = -D dp/dx + a p in the
-Scharfetter-Gummel form (exact for constant drift), Crank-Nicolson in
-time with the killing rate folded implicitly into the diagonal.  Point
-killings, point sources and the point start are split position-weighted
-across the two bracketing nodes.  States live on the unknown nodes (an
-absorbing end node holds zero) and are padded to all nodes only where a
-density is returned.  Survival, kill rate and absorbed flux are the three
-rows of one weight matrix applied to a state, on every route.  The scheme's
-discrete conservation identity dS/dt = -killRate - boundaryFlux holds to
-round-off, which is what makes the absorbed/killed bookkeeping in
-`split_statistics` exact; each solve checks it (`_Discretization.solve`).
+Scharfetter-Gummel form (exact for constant drift), the killing rate on
+the diagonal.  Point killings, point sources and the point start are split
+position-weighted across the two bracketing nodes.  States live on the
+unknown nodes (an absorbing end node holds zero) and are padded to all
+nodes only where a density is returned.  Survival, kill rate and absorbed
+flux are the three rows of one weight matrix applied to a state, on every
+route.  The scheme's discrete conservation identity
+dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes
+the absorbed/killed bookkeeping in `split_statistics` exact; each solve
+checks it (`_Discretization.solve`).
 
-At every drift a diagonal similarity S makes the operator A symmetric,
-and a Crank-Nicolson step multiplies eigenmode j by
-r_j = (1 + dt lam_j/2) / (1 - dt lam_j/2).  `evolve` uses this: survival,
-kill rate and absorbed flux are each const + sum_j w_j r_j^n, summed only at
-the K steps it reports (every `stride`-th).  On m unknown nodes that costs
-O(m^2) for the eigenvectors, plus the powers r_j^n and 3 m K products.
-Strong drift makes S far from the identity and those sums cancel; where
-their round-off estimate is too large, `evolve` steps the scheme, one solve
+At every drift a diagonal similarity S makes the operator A symmetric with
+eigenvalues lam_j.  `evolve` uses this: survival, kill rate and absorbed
+flux of the semi-discrete solution e^(At) u0 are each
+const + sum_j w_j e^(lam_j t), exact in time, summed only at the K steps
+it reports (every `stride`-th); dt sets only that reporting grid.  A mode
+below e^-40 at the first reported step is dropped, so on m unknown nodes
+it costs O(m^2) for the eigenvalues, inverse iteration for the
+eigenvectors of the k slow modes alone, and 3 k K products.  Strong drift
+makes S far from the identity and those sums cancel; where their round-off
+estimate is too large, `evolve` steps the Crank-Nicolson scheme, one solve
 per step with I - dt/2 A factored once.  `decay_rate` is the top
 eigenvalue of the same symmetric form.  `split_statistics` does not step
 either: the Crank-Nicolson midpoint sums over an infinite horizon are, for
-every dt, (-A)^-1 u0 and A^-2 u0, so the split is two solves with one
-factorization of -A and is the exact infinite-horizon sum of the stepped
-scheme.  Every solve applies LU factors with partial pivoting (LAPACK
-gttrf), made once per matrix, with LAPACK gttrs.
+every dt, (-A)^-1 u0 and A^-2 u0, which are also the time integrals of
+e^(At) u0 and t e^(At) u0, so the split is two solves with one
+factorization of -A.  Every solve applies LU factors with partial pivoting
+(LAPACK gttrf), made once per matrix, with LAPACK gttrs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ _EIG_BLOCK = 64
 _CHUNK = 128
 # the spectral route runs when its round-off estimate is at most this times S(0)
 _SPECTRAL_ROUNDOFF = 1e-10
+# the spectral route drops the modes below e^-40 at the first reported step:
+# they add at most e^-40 sum |w_j| <= (e^-40 / eps) x the round-off estimate,
+# under 0.02 of it, at that step and every later one
+_MODE_CUT = 40.0
 # a solve's balance kill + absorbed = inflow misses by round-off, eps |A| T
 # for mass staying a time T: 4 eps n^2 on n cells if T ~ L^2/D.  A miss
 # over 1e-8 and 16 eps n^2 marks mass held far longer: drift traps it
@@ -265,20 +271,22 @@ def evolve(
     frame_times: Sequence[float] = (),
     stride: int = 1,
 ) -> FpeResult:
-    """Crank-Nicolson evolution, returning the observable time series at
-    steps 0, stride, 2 stride, ... up to the last step, and density frames at
-    the requested times (nearest step).
+    """Time evolution, returning the observable time series at steps 0,
+    stride, 2 stride, ... up to the last step, and density frames at the
+    requested times (nearest step).
 
-    The iterates are propagated in the eigenbasis of the symmetrized
-    operator (`_eigenmodes`, `_mode_sums`): O(m^2) for the eigenvectors on m
-    unknown nodes, plus the powers r_j^n and 3 m K products for the K
-    reported steps.  Where drift makes the operator so far from normal that
-    the round-off estimate of those sums exceeds 1e-10 S(0), or an injection
-    problem has no steady state, the scheme is stepped instead (`_step`),
-    one solve per step with I - dt/2 A factored once.  Both routes give the
-    iterates of the same scheme; `FpeResult.route` says which one ran.  The
-    frames, the final density, the route and the round-off estimate do not
-    depend on stride."""
+    The semi-discrete solution e^(At) u0 is summed in the eigenbasis of the
+    symmetrized operator (`_eigenmodes`, `_mode_sums`), exact in time: dt and
+    stride set only the reported times, and the modes below e^-40 at the
+    first of them are dropped.  Where drift makes the operator so far from
+    normal that the round-off estimate of those sums exceeds 1e-10 S(0), or
+    an injection problem has no steady state, the Crank-Nicolson scheme is
+    stepped instead (`_step`), one solve per step with I - dt/2 A factored
+    once; its iterates carry the scheme's O(dt^2) time error.
+    `FpeResult.route` says which route ran.  Step 0 is u0 on either route.
+    The route and the round-off estimate do not depend on stride; the
+    spectral frames and final density do only through the dropped modes,
+    within that estimate."""
     require_valid(model, killing, ic)
     if stride < 1 or stride != int(stride):
         raise InputError(f"stride must be a positive integer, got {stride!r}")
@@ -290,13 +298,14 @@ def evolve(
     keep = sorted(set(frame_steps) | {n_steps})
     u0 = disc.initial_vector(ic)
 
-    modes = _eigenmodes(disc, u0, dt, keep)
+    modes = _eigenmodes(disc, u0, dt, keep, stride)
     bound = modes.bound if modes else math.inf
     limit = _SPECTRAL_ROUNDOFF * float(disc.weights[0] @ u0)
     if bound <= limit:
         route = "spectral"
         obs = _mode_sums(modes.r, modes.weights, n_steps, stride)
         obs += modes.steady_observables[:, None]
+        obs[:, 0] = disc.weights @ u0
         kept = modes.kept
     else:
         route = "stepped"
@@ -319,30 +328,35 @@ def evolve(
 
 
 class _Modes(NamedTuple):
-    r: np.ndarray  # per-step factor of each mode
-    weights: np.ndarray  # m x 3: each mode's share of survival, kill rate, absorbed flux
+    r: np.ndarray  # per-step factor e^(dt lam) of each kept mode
+    weights: np.ndarray  # kept x 3: each mode's share of survival, kill rate, absorbed flux
     steady_observables: np.ndarray  # the three observables of the steady state
-    kept: Dict[int, np.ndarray]  # the iterate at each kept step
+    kept: Dict[int, np.ndarray]  # the state at each kept step
     bound: float
 
 
 def _eigenmodes(
-    disc: _Discretization, u0: np.ndarray, dt: float, keep: Sequence[int]
+    disc: _Discretization, u0: np.ndarray, dt: float, keep: Sequence[int], stride: int
 ) -> Optional[_Modes]:
-    """The Crank-Nicolson iterates in the eigenbasis of the symmetrized
-    operator.  With S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the
-    steady state, u_n = u* + S^-1 V diag(r^n) V^T S (u_0 - u*) with
-    r = (1 + dt lam/2) / (1 - dt lam/2), so each observable c.u_n is
-    c.u* + sum_j w_j r_j^n with w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
+    """The semi-discrete solution u(t) = u* + e^(At) (u_0 - u*) in the
+    eigenbasis of the symmetrized operator, at t = n dt.  With
+    S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the steady state,
+    u(n dt) = u* + S^-1 V diag(r^n) V^T S (u_0 - u*) with r = e^(dt lam), so
+    each observable c.u(n dt) is c.u* + sum_j w_j r_j^n with
+    w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
 
-    The eigenvectors are found in blocks by inverse iteration and never held
-    together.  Their round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|,
-    the rates' scaled by dt to a per-step probability: at least
-    eps sum_j |w_j|, large when drift makes S far from the identity, and an
-    estimate, not a bound: against the stepped scheme it held up to an
-    absolute floor of 1.6e-13 from the eigenvectors' orthogonality.  None
-    when no similarity is representable, the steady state does not exist or
-    inverse iteration fails."""
+    Every step reported after step 0 lies at least t1 = dt min(stride, the
+    first kept step after 0) in, so only the modes with lam t1 > -_MODE_CUT
+    are kept, and inverse iteration finds the eigenvectors of those alone, in
+    blocks, never held together.  The state at step 0 is u_0 itself, not a truncated sum.
+    The round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|, the rates'
+    scaled by dt to a per-step probability: at least eps sum_j |w_j|, large
+    when drift makes S far from the identity, and an estimate, not a bound:
+    against the stepped scheme it held up to an absolute floor of 1.6e-13
+    from the eigenvectors' orthogonality.  The dropped modes add at most
+    e^-_MODE_CUT sum_j |w_j|, under 0.02 of that estimate.  None when no
+    similarity is representable, the steady state does not exist or inverse
+    iteration fails."""
     e, log_s = disc.symmetric_form()
     if np.ptp(log_s) > _MAX_LOG_SIMILARITY:
         return None
@@ -355,19 +369,23 @@ def _eigenmodes(
         steady, steady_obs = np.zeros(disc.m), [0.0] * 3
     s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
     c = disc.weights
+    powers = np.array([n for n in keep if n > 0])
+    # every step reported after step 0 is at least t1 in; lam ascends, so
+    # the modes above e^-_MODE_CUT there are a suffix
+    t1 = dt * min(stride, powers.min())
     lam = eigvalsh_tridiagonal(disc.diag, e)
-    r = (1 + dt / 2 * lam) / (1 - dt / 2 * lam)
+    lam = lam[np.searchsorted(lam, -_MODE_CUT / t1, side="right"):]
+    r = np.exp(dt * lam)
 
     c_s = (c / s).T
     z_s = s * (u0 - steady)
-    powers = np.asarray(keep)
-    c_modes = np.empty((disc.m, 3))
-    z_modes = np.empty(disc.m)
+    c_modes = np.empty((lam.size, 3))
+    z_modes = np.empty(lam.size)
     z_kept = np.zeros((disc.m, powers.size))
     # one unreduced block: every off-diagonal of the symmetric form is positive
     iblock = np.ones(disc.m, dtype=np.int32)
     isplit = np.full(disc.m, disc.m, dtype=np.int32)
-    for j in range(0, disc.m, _EIG_BLOCK):
+    for j in range(0, lam.size, _EIG_BLOCK):
         blk = slice(j, j + _EIG_BLOCK)
         v, info = dstein(disc.diag, e, lam[blk], iblock, isplit)
         if info:
@@ -379,17 +397,19 @@ def _eigenmodes(
     scale = np.linalg.norm(c_s, axis=0) * np.linalg.norm(z_s) * (1.0, dt, dt)
     bound = float(np.finfo(float).eps * np.max(scale))
     kept = {int(n): steady + z_kept[:, i] / s for i, n in enumerate(powers)}
+    if 0 in keep:
+        kept[0] = u0
     return _Modes(r, weights, np.array(steady_obs), kept, bound)
 
 
 def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
     """sum_j weights[j] r_j^n for n = 0, stride, 2 stride, ... <= n_steps, one
-    row per column of weights: one (3 x m)(m x chunk) product per chunk of
-    reported steps against a fixed table of r^(stride i), i < chunk.  The
-    table and the chunk offsets take m (chunk + K / chunk) powers for K
-    reported steps, fewest at a chunk of sqrt(K).  The chunk is held between
-    _CHUNK / stride and _CHUNK: the table never outgrows m x _CHUNK, and
-    stride 1 keeps the chunk of _CHUNK steps, so its sums stay the same."""
+    row per column of weights, r_j = e^(dt lam_j) the per-step factor of each
+    kept mode: one (3 x m)(m x chunk) product per chunk of reported steps
+    against a fixed table of r^(stride i), i < chunk.  The table and the
+    chunk offsets take m (chunk + K / chunk) powers for K reported steps,
+    fewest at a chunk of sqrt(K).  The chunk is held between _CHUNK / stride
+    and _CHUNK, so the table never outgrows m x _CHUNK."""
     k = n_steps // stride + 1
     chunk = min(_CHUNK, max(_CHUNK // stride, math.isqrt(k)))
     table = r[:, None] ** (stride * np.arange(chunk))
@@ -437,13 +457,14 @@ def split_statistics(
     grid: GridSpec,
 ) -> SplitStatistics:
     """Absorbed/killed split probabilities, conditional mean times and the
-    absorbed-to-killed ratio: the exact infinite-horizon sums of the
-    Crank-Nicolson scheme that `evolve` steps.
+    absorbed-to-killed ratio: the exact infinite-horizon integrals of the
+    semi-discrete solution e^(At) u0 that `evolve` sums.
 
-    With u_n the CN iterates, the midpoint sums sum dt (u_{n-1} + u_n)/2 and
-    sum (n - 1/2) dt dt (u_{n-1} + u_n)/2 telescope to y1 = (-A)^-1 u0 and
-    y2 = (-A)^-1 y1 for every dt, so only grid.cell_count matters; dt and
-    t_max do not.  The kill and absorption rates of y1 give the split
+    They are y1 = (-A)^-1 u0 and y2 = (-A)^-1 y1, the integrals of e^(At) u0
+    and t e^(At) u0.  With u_n the Crank-Nicolson iterates, the midpoint
+    sums sum dt (u_{n-1} + u_n)/2 and sum (n - 1/2) dt dt (u_{n-1} + u_n)/2
+    telescope to the same y1 and y2 for every dt, so only grid.cell_count
+    matters; dt and t_max do not.  The kill and absorption rates of y1 give the split
     probabilities, those of y2 the time moments; p_killed + p_absorbed =
     S(0) holds to round-off, or the solve is refused, and is normalized to 1."""
     require_valid(model, killing, ic)
