@@ -53,6 +53,9 @@ one spot and keeps the rate, so it refuses any other number of spots.
 every stride-th (default 10), from t = 0.  `mc --points` and `pde --stride`
 must be positive integers.
 
+`main` may be called any number of times in one process; each call
+parses its own arguments against the one parser `build_parser` builds.
+
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
 error (including a count below 1), no closed form, or an input the library
 refuses with a `model.InputError` (e.g. the wrong ends for
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -391,6 +395,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args keeps no state and returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="killdiff",
@@ -443,9 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

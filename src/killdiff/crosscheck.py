@@ -90,19 +90,14 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]
     """Write a CSV file: the header, then one line per row.  A float cell
     (np.float64 too) is written as repr(float(v)), a bool as 0 or 1 and any
     other cell as str(v); a cell holding a comma, quote or newline is
-    quoted.  Every CSV file the package writes goes through here."""
+    quoted.  Every CSV file the package writes goes through here.
+
+    Only bools are converted; the csv module writes str(v) for the rest,
+    which for float and np.float64 is already repr(float(v))."""
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(header)
-        out.writerows(
-            [
-                repr(float(v)) if isinstance(v, float)
-                else int(v) if isinstance(v, bool)
-                else str(v)
-                for v in row
-            ]
-            for row in rows
-        )
+        out.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
 
 
 def _compare(

@@ -477,12 +477,12 @@ def survival_curve(
     termination, with pointwise binomial standard errors.
 
     An event at step j (time j*dt) fell in ((j - 1) dt, j dt], so the
-    fraction of step counts above k is exactly S(k dt); steps are compared as
+    fraction of step counts above k is exactly S(k dt); steps are counted as
     whole numbers, so round-off cannot move an event across a point."""
     steps = np.rint(out.time / out.dt).astype(np.int64)
     last = int(steps.max())
     at = np.unique(-(-last * np.arange(1, points + 1) // points))  # ceil(last i / points)
     n = out.n
-    s = np.array([np.count_nonzero(steps > k) for k in at]) / n
+    s = (n - np.cumsum(np.bincount(steps))[at]) / n  # n minus the events by step k
     se = np.sqrt(s * (1 - s) / n)
     return at * out.dt, s, se

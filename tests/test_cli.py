@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -555,3 +557,88 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {flag}: must be a positive integer, got '{value}'" in err
     assert not out.exists()
+
+
+# --- repeated calls in one process ---------------------------------------
+
+# MINIMAL with its own MC seed and every method, so a call that falls back on
+# the INI shows it
+SEEDED = MINIMAL + "mc_seed = 3\nmethod = all\n"
+
+
+def recorded(monkeypatch, name):
+    """Patch montecarlo.<name> to record (seed, workers) of each call."""
+    seen, call = [], getattr(montecarlo, name)
+
+    def record(model, killing, y, cfg):
+        seen.append((cfg.seed, cfg.workers))
+        return call(model, killing, y, cfg)
+
+    monkeypatch.setattr(montecarlo, name, record)
+    return seen
+
+
+def test_a_second_split_takes_its_settings_from_the_ini(tmp_path, monkeypatch, capsys):
+    seen = recorded(monkeypatch, "simulate_split")
+    path = write(tmp_path, SEEDED)
+    first = tmp_path / "first"
+    argv = ["--seed", "5", "--workers", "2", "--out", str(first), "split", path, "--method", "mc"]
+    assert main(argv) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["split", path]) == 0
+    assert seen == [(5, 2), (3, 1)]
+    methods = {
+        out: [ln.split(",")[0] for ln in (out / "split.csv").read_text().splitlines()[1:]]
+        for out in (first, tmp_path)
+    }
+    assert methods == {first: ["mc"], tmp_path: ["analytic", "pde", "mc"]}
+
+
+def test_a_second_pde_takes_the_default_stride(tmp_path):
+    path = write(tmp_path, MINIMAL)  # dt 2e-3, 4000 steps
+    for name, flags, stride in (("seven", ["--stride", "7"], 7), ("default", [], 10)):
+        assert main(["--out", str(tmp_path / name), "pde", path] + flags) == 0
+        rows = (tmp_path / name / "survival.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4000 // stride + 1
+        assert float(rows[1].split(",")[0]) == pytest.approx(stride * 2e-3, rel=1e-12)
+
+
+def test_a_second_mc_writes_no_histogram(tmp_path):
+    path = write(tmp_path, MINIMAL)
+    assert main(["--out", str(tmp_path / "hist"), "mc", path, "--histogram"]) == 0
+    assert main(["--out", str(tmp_path / "plain"), "mc", path]) == 0
+    assert (tmp_path / "hist" / "histogram.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["split.csv", "survival.csv"]
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(tmp_path, monkeypatch, capsys):
+    seen = recorded(monkeypatch, "simulate_outcomes")
+    path = write(tmp_path, SEEDED)
+    bad = ["--seed", "9", "--workers", "2", "--out", str(tmp_path / "bad"), "mc", path]
+    assert main(bad + ["--histogram", "--points", "0"]) == 2
+    assert main(["--seed", "9", "split", path, "--method", "bogus"]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["mc", path]) == 0
+    assert seen == [(3, 1)]
+    assert not (tmp_path / "bad").exists() and not (tmp_path / "histogram.csv").exists()
+    assert len((tmp_path / "survival.csv").read_text().splitlines()) == 51
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [(["pde"], "survival.csv"), (["split"], "split.csv"), (["mc"], "survival.csv")],
+    ids=["pde", "split", "mc"],
+)
+def test_in_process_output_is_a_fresh_process_output(tmp_path, capsys, argv, name):
+    path = write(tmp_path, SEEDED)
+    # a call with every flag set first, so the one compared reuses the parser
+    dirty = ["--seed", "9", "--workers", "2", "--out", str(tmp_path / "dirty"), "mc", path]
+    assert main(dirty + ["--histogram", "--points", "7"]) == 0
+    assert main(["--out", str(tmp_path / "here")] + argv + [path]) == 0
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "killdiff.cli", "--out", str(tmp_path / "fresh")] + argv + [path],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

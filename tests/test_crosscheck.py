@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killdiff import crosscheck, montecarlo
 from killdiff.analytic import PI
@@ -84,6 +85,33 @@ def test_report_csv_quotes_a_note_that_holds_a_comma(tmp_path):
         cells = list(csv.reader(f))
     assert [len(r) for r in cells] == [10, 10]
     assert cells[1][-1] == row.note
+
+
+CSV_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.text(st.sampled_from('ab ,"\n')),
+)
+
+
+def written(v):
+    if isinstance(v, bool):
+        return str(int(v))
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+@given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=4), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_write_rows_reads_back_as_each_cell_printed(tmp_path_factory, rows):
+    # floats and np.float64 (nan, +-inf, -0.0, subnormals) read back as
+    # repr(float(v)), bools as 0/1, text holding commas, quotes or newlines intact
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    crosscheck.write_rows(path, ("a", "b"), rows)
+    with open(path, newline="") as f:
+        back = list(csv.reader(f))
+    assert back == [["a", "b"]] + [[written(v) for v in row] for row in rows]
 
 
 def test_default_matrix_spans_killing_kinds():

@@ -9,6 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from killdiff import analytic, crosscheck, fpe, montecarlo
 from killdiff.analytic import PI
@@ -166,6 +167,27 @@ def test_survival_curve_takes_at_most_one_point_per_step():
     times, s, _ = montecarlo.survival_curve(out, 50)
     assert times == pytest.approx([0.1, 0.2, 0.3])
     assert s.tolist() == [0.75, 0.5, 0.0]
+
+
+@given(
+    steps=st.lists(st.integers(1, 60), min_size=1, max_size=300),
+    points=st.integers(1, 100),
+    dt=st.sampled_from([1e-3, 0.05, 0.1]),
+)
+@example(steps=[1] * 7, points=3, dt=0.1)  # every event at step 1
+@example(steps=[2, 5, 5, 9], points=40, dt=1e-3)  # more points than steps
+@settings(max_examples=200, deadline=None)
+def test_survival_curve_is_the_count_past_each_point(steps, points, dt):
+    steps = np.array(steps)
+    out = montecarlo.TrajectoryOutcomes(
+        np.zeros(steps.size, dtype=np.uint8), steps * dt, np.zeros(steps.size), dt
+    )
+    times, s, se = montecarlo.survival_curve(out, points)
+    at = sorted({math.ceil(steps.max() * i / points) for i in range(1, points + 1)})
+    assert np.array_equal(times, np.array(at) * dt)
+    expected = np.array([np.count_nonzero(steps > k) for k in at]) / steps.size
+    assert np.array_equal(s, expected)
+    assert np.array_equal(se, np.sqrt(expected * (1 - expected) / steps.size))
 
 
 def test_survival_curve_is_the_exponential_law_at_a_large_step():
