@@ -280,7 +280,7 @@ def _cmd_mc(args) -> int:
         list(zip(times, surv, se)),
     )
     if args.histogram and out.killed.any():
-        edges, density = montecarlo.kill_location_histogram(out, min_events=1)
+        edges, density = montecarlo.kill_location_histogram(out)
         _write_rows(
             _out_path(cfg.out_dir, args, "histogram.csv"),
             ("bin_left", "bin_right", "density"),

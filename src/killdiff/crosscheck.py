@@ -86,18 +86,31 @@ class ComparisonReport:
         write_rows(path, [f.name for f in fields(Discrepancy)], map(astuple, self.discrepancies))
 
 
+# cells the csv module writes as they are: nothing to convert or quote
+_PLAIN_CELLS = frozenset((float, int))
+
+
 def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a CSV file: the header, then one line per row.  A float cell
     (np.float64 too) is written as repr(float(v)), a bool as 0 or 1 and any
     other cell as str(v); a cell holding a comma, quote or newline is
-    quoted.  Every CSV file the package writes goes through here.
+    quoted, and so is every text cell of a row whose text holds a carriage
+    return, which the csv module before Python 3.13 leaves bare.  Every CSV
+    file the package writes goes through here.
 
     Only bools are converted; the csv module writes str(v) for the rest,
     which for float and np.float64 is already repr(float(v))."""
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
+        quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         out.writerow(header)
-        out.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
+        for row in rows:
+            if not _PLAIN_CELLS.issuperset(map(type, row)):
+                row = [int(v) if isinstance(v, bool) else v for v in row]
+                if any(isinstance(v, str) and "\r" in v for v in row):
+                    quoted.writerow(row)
+                    continue
+            out.writerow(row)
 
 
 def _compare(
@@ -110,7 +123,7 @@ def _compare(
     tol: float,
     sigma: float = 0.0,
 ) -> Comparison:
-    passed = (math.isinf(va) and math.isinf(vb)) or bool(abs(va - vb) <= tol)
+    passed = (math.isinf(va) and va == vb) or bool(abs(va - vb) <= tol)
     return Comparison(scenario, observable, a, va, b, vb, sigma, tol, passed)
 
 

@@ -6,9 +6,9 @@ Scharfetter-Gummel form (exact for constant drift), the killing rate on
 the diagonal.  Point killings, point sources and the point start are split
 position-weighted across the two bracketing nodes.  States live on the
 unknown nodes (an absorbing end node holds zero) and are padded to all
-nodes only where a density is returned.  Survival, kill rate and absorbed
-flux are the three rows of one weight matrix applied to a state, on every
-route.  The scheme's discrete conservation identity
+nodes only where a steady density is returned.  Survival, kill rate and
+absorbed flux are the three rows of one weight matrix applied to a state,
+on every route.  The scheme's discrete conservation identity
 dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes
 the absorbed/killed bookkeeping in `split_statistics` exact; each solve
 checks it (`_Discretization.solve`).
@@ -17,9 +17,10 @@ At every drift a diagonal similarity S makes the operator A symmetric with
 eigenvalues lam_j.  `evolve` uses this: survival, kill rate and absorbed
 flux of the semi-discrete solution e^(At) u0 are each
 const + sum_j w_j e^(lam_j t), exact in time, summed only at the K steps
-it reports (every `stride`-th); dt sets only that reporting grid.  A mode
-below e^-40 at the first reported step is dropped, so on m unknown nodes
-it costs O(m^2) for the eigenvalues, inverse iteration for the
+it reports (every `stride`-th); dt sets only that reporting grid, and it
+returns those three series, never a density.  A mode below e^-40 at
+dt stride, the first reported time after 0, is dropped, so on m unknown
+nodes it costs O(m^2) for the eigenvalues, inverse iteration for the
 eigenvectors of the k slow modes alone, and 3 k K products.  Strong drift
 makes S far from the identity and those sums cancel; where their round-off
 estimate is too large, `evolve` steps the Crank-Nicolson scheme, one solve
@@ -41,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -97,30 +98,18 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class DensityFrame:
-    time: float
-    x: np.ndarray
-    density: np.ndarray
-
-
-@dataclass(frozen=True)
 class ObservableSeries:
     times: np.ndarray
     survival: np.ndarray
     kill_rate: np.ndarray
     boundary_flux: np.ndarray
-    ratio_rt: np.ndarray
 
 
 @dataclass(frozen=True)
 class FpeResult:
-    x: np.ndarray
     series: ObservableSeries
-    frames: Tuple[DensityFrame, ...]
-    final_density: np.ndarray
     route: str  # "spectral" (eigenbasis propagation) or "stepped"
     roundoff_bound: float  # of the spectral sums; inf when they cannot be formed
-    cell_peclet: float  # |a| dx / (2 D)
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,6 @@ class _Discretization:
         self.x = np.linspace(0.0, L, n_cells + 1)
         self.left_kind = dom.left.kind
         self.right_kind = dom.right.kind
-        self.peclet = abs(a) * dx / (2 * D)
 
         # trapezoid / finite-volume node weights
         self.h = np.full(n_cells + 1, dx)
@@ -271,29 +259,28 @@ def evolve(
     killing: KillingMeasure,
     ic: InitialCondition,
     grid: GridSpec,
-    frame_times: Sequence[float] = (),
     stride: int = 1,
 ) -> FpeResult:
-    """Time evolution, returning the observable time series at steps 0,
-    stride, 2 stride, ... up to the last step, and density frames at the
-    requested times (nearest step).
+    """Time evolution: survival, kill rate and absorbed flux at steps 0,
+    stride, 2 stride, ... up to the last step, and how they were made.
 
     The semi-discrete solution e^(At) u0 is summed in the eigenbasis of the
     symmetrized operator (`_eigenmodes`, `_mode_sums`), exact in time: dt and
-    stride set only the reported times, and the modes below e^-40 at the
-    first of them are dropped.  Where the round-off estimate of those sums
-    exceeds 1e-10 S(0), or an injection problem has no steady state, the
-    Crank-Nicolson scheme is stepped instead (`_step`), one solve per step
-    with I - dt/2 A factored once; its iterates carry the scheme's O(dt^2)
-    time error, and a warning is logged.  The estimate exceeds the limit
-    where strong drift makes the operator far from normal, but also at
-    any drift on fine grids or at coarse dt: its rates are scaled by dt, and
-    from a point start grow like cells^2 (on [0, 1] with d 1 from 0.3, 800
-    cells at dt 0.5 and 3,200 cells at dt 0.05 are stepped).
+    stride set only the reported times, and the modes below e^-40 at
+    t = dt stride, the first reported time after 0, are dropped.  Where the
+    round-off estimate of those sums exceeds 1e-10 S(0), or an injection
+    problem has no steady state, the Crank-Nicolson scheme is stepped
+    instead (`_step`), one solve per step with I - dt/2 A factored once; its
+    iterates carry the scheme's O(dt^2) time error, and a warning is logged.
+    The estimate exceeds the limit where strong drift makes the operator far
+    from normal, but also at any drift on fine grids or at coarse dt: its
+    rates are scaled by dt, and from a point start grow like cells^2 (on
+    [0, 1] with d 1 from 0.3, 800 cells at dt 0.5 and 3,200 cells at dt 0.05
+    are stepped).
     `FpeResult.route` says which route ran.  Step 0 is u0 on either route.
     The route and the round-off estimate do not depend on stride; the
-    spectral frames and final density do only through the dropped modes,
-    within that estimate."""
+    spectral series does only through the dropped modes, within that
+    estimate."""
     require_valid(model, killing, ic)
     if stride < 1 or stride != int(stride):
         raise InputError(f"stride must be a positive integer, got {stride!r}")
@@ -301,11 +288,9 @@ def evolve(
     disc = _Discretization(model, killing, grid.cell_count)
     dt = grid.dt
     n_steps = max(1, int(round(grid.t_max / dt)))
-    frame_steps = sorted({min(n_steps, max(0, int(round(t / dt)))) for t in frame_times})
-    keep = sorted(set(frame_steps) | {n_steps})
     u0 = disc.initial_vector(ic)
 
-    modes = _eigenmodes(disc, u0, dt, keep, stride)
+    modes = _eigenmodes(disc, u0, dt, dt * stride)
     bound = modes.bound if modes else math.inf
     limit = _SPECTRAL_ROUNDOFF * float(disc.weights[0] @ u0)
     if bound <= limit:
@@ -313,7 +298,6 @@ def evolve(
         obs = _mode_sums(modes.r, modes.weights, n_steps, stride)
         obs += modes.steady_observables[:, None]
         obs[:, 0] = disc.weights @ u0
-        kept = modes.kept
     else:
         route = "stepped"
         _log.warning(
@@ -321,31 +305,20 @@ def evolve(
             "time error (spectral round-off estimate %.3g > %.3g)",
             n_steps, disc.n, bound, limit,
         )
-        obs, kept = _step(disc, u0, dt, n_steps, keep, stride)
+        obs = _step(disc, u0, dt, n_steps, stride)
 
     times = np.arange(0, n_steps + 1, stride) * dt
-    surv, krate, brate = obs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(krate > 0, brate / np.maximum(krate, 1e-300), np.inf)
-    series = ObservableSeries(times, surv, krate, brate, ratio)
-    densities = {n: disc.full(u) for n, u in kept.items()}
-    frames = tuple(
-        DensityFrame(n * dt, disc.x.copy(), densities[n].copy()) for n in frame_steps
-    )
-    return FpeResult(disc.x, series, frames, densities[n_steps], route, bound, disc.peclet)
+    return FpeResult(ObservableSeries(times, *obs), route, bound)
 
 
 class _Modes(NamedTuple):
     r: np.ndarray  # per-step factor e^(dt lam) of each kept mode
     weights: np.ndarray  # kept x 3: each mode's share of survival, kill rate, absorbed flux
     steady_observables: np.ndarray  # the three observables of the steady state
-    kept: Dict[int, np.ndarray]  # the state at each kept step
     bound: float
 
 
-def _eigenmodes(
-    disc: _Discretization, u0: np.ndarray, dt: float, keep: Sequence[int], stride: int
-) -> Optional[_Modes]:
+def _eigenmodes(disc: _Discretization, u0: np.ndarray, dt: float, t1: float) -> Optional[_Modes]:
     """The semi-discrete solution u(t) = u* + e^(At) (u_0 - u*) in the
     eigenbasis of the symmetrized operator, at t = n dt.  With
     S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the steady state,
@@ -353,13 +326,13 @@ def _eigenmodes(
     each observable c.u(n dt) is c.u* + sum_j w_j r_j^n with
     w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
 
-    Every step reported after step 0 lies at least t1 = dt min(stride, the
-    first kept step after 0) in, so only the modes with lam t1 > -_MODE_CUT
-    are kept, and inverse iteration finds the eigenvectors of those alone, in
-    blocks, never held together.  The state at step 0 is u_0 itself, not a truncated sum.
-    The round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|, the rates'
-    scaled by dt to a per-step probability: at least eps sum_j |w_j|, large
-    when drift makes S far from the identity, and an estimate, not a bound:
+    Every step reported after step 0 is a multiple of the stride, at least
+    t1 = dt stride in, so only the modes with lam t1 > -_MODE_CUT are kept,
+    and inverse iteration finds the eigenvectors of those alone, in blocks,
+    never held together; only their weights are formed, never a state.  The
+    round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|, the rates' scaled
+    by dt to a per-step probability: at least eps sum_j |w_j|, large when
+    drift makes S far from the identity, and an estimate, not a bound:
     against the stepped scheme it held up to an absolute floor of 1.6e-13
     from the eigenvectors' orthogonality.  The dropped modes add at most
     e^-_MODE_CUT sum_j |w_j|, under 0.02 of that estimate.  None when no
@@ -377,10 +350,7 @@ def _eigenmodes(
         steady, steady_obs = np.zeros(disc.m), [0.0] * 3
     s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
     c = disc.weights
-    powers = np.array([n for n in keep if n > 0])
-    # every step reported after step 0 is at least t1 in; lam ascends, so
-    # the modes above e^-_MODE_CUT there are a suffix
-    t1 = dt * min(stride, powers.min())
+    # lam ascends, so the modes above e^-_MODE_CUT at t1 are a suffix
     lam = eigvalsh_tridiagonal(disc.diag, e)
     lam = lam[np.searchsorted(lam, -_MODE_CUT / t1, side="right"):]
     r = np.exp(dt * lam)
@@ -389,7 +359,6 @@ def _eigenmodes(
     z_s = s * (u0 - steady)
     c_modes = np.empty((lam.size, 3))
     z_modes = np.empty(lam.size)
-    z_kept = np.zeros((disc.m, powers.size))
     # one unreduced block: every off-diagonal of the symmetric form is positive
     iblock = np.ones(disc.m, dtype=np.int32)
     isplit = np.full(disc.m, disc.m, dtype=np.int32)
@@ -400,14 +369,10 @@ def _eigenmodes(
             return None
         c_modes[blk] = v.T @ c_s
         z_modes[blk] = v.T @ z_s
-        z_kept += v @ (z_modes[blk, None] * r[blk, None] ** powers)
     weights = c_modes * z_modes[:, None]
     scale = np.linalg.norm(c_s, axis=0) * np.linalg.norm(z_s) * (1.0, dt, dt)
     bound = float(np.finfo(float).eps * np.max(scale))
-    kept = {int(n): steady + z_kept[:, i] / s for i, n in enumerate(powers)}
-    if 0 in keep:
-        kept[0] = u0
-    return _Modes(r, weights, np.array(steady_obs), kept, bound)
+    return _Modes(r, weights, np.array(steady_obs), bound)
 
 
 def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
@@ -429,20 +394,17 @@ def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int, stride: int) ->
 
 
 def _step(
-    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, keep: Sequence[int],
-    stride: int,
-) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, stride: int
+) -> np.ndarray:
     """The Crank-Nicolson step loop: the observables (3 x reported steps) at
-    every stride-th step and the iterate at the steps in keep."""
+    every stride-th step; only the current iterate is held."""
     lu = dgttrf(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     m2_lo = dt / 2 * disc.lower
     m2_di = 1 + dt / 2 * disc.diag
     m2_up = dt / 2 * disc.upper
 
-    kept_steps = set(keep)
     u = u0
     obs = np.empty((3, n_steps // stride + 1))
-    kept: Dict[int, np.ndarray] = {}
     for step in range(n_steps + 1):
         if step:
             rhs = m2_di * u + dt * disc.source
@@ -453,9 +415,7 @@ def _step(
                 raise AccuracyError(f"solution blew up at t={step * dt}")
         if step % stride == 0:
             obs[:, step // stride] = disc.weights @ u
-        if step in kept_steps:
-            kept[step] = u
-    return obs, kept
+    return obs
 
 
 def split_statistics(

@@ -438,14 +438,10 @@ def simulate_split(
     return split_from_outcomes(simulate_outcomes(model, killing, y, cfg))
 
 
-def kill_location_histogram(
-    out: TrajectoryOutcomes, bins: np.ndarray | int = 50, min_events: int = 100
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram (edges, density) of the kill positions."""
-    pos = out.position[out.killed]
-    if pos.size < min_events:
-        raise AccuracyError(f"only {pos.size} kill events; need at least {min_events}")
-    density, edges = np.histogram(pos, bins=bins, density=True)
+def kill_location_histogram(out: TrajectoryOutcomes) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalized histogram (edges, density) of the kill positions in 50
+    bins; at least one trajectory must have been killed."""
+    density, edges = np.histogram(out.position[out.killed], bins=50, density=True)
     return edges, density
 
 

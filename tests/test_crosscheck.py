@@ -92,7 +92,7 @@ CSV_CELLS = st.one_of(
     st.floats().map(np.float64),
     st.integers(),
     st.booleans(),
-    st.text(st.sampled_from('ab ,"\n')),
+    st.text(st.sampled_from('ab ,"\n\r')),
 )
 
 
@@ -106,12 +106,31 @@ def written(v):
 @settings(max_examples=300, deadline=None)
 def test_write_rows_reads_back_as_each_cell_printed(tmp_path_factory, rows):
     # floats and np.float64 (nan, +-inf, -0.0, subnormals) read back as
-    # repr(float(v)), bools as 0/1, text holding commas, quotes or newlines intact
+    # repr(float(v)), bools as 0/1, text holding commas, quotes, line feeds or
+    # carriage returns intact
     path = tmp_path_factory.getbasetemp() / "rows.csv"
     crosscheck.write_rows(path, ("a", "b"), rows)
     with open(path, newline="") as f:
         back = list(csv.reader(f))
     assert back == [["a", "b"]] + [[written(v) for v in row] for row in rows]
+
+
+def test_only_a_row_holding_a_carriage_return_quotes_its_text(tmp_path):
+    # the csv module before Python 3.13 leaves "a\rb" bare under a "\n"
+    # lineterminator, and it reads back as two rows; the other rows keep their bytes
+    path = tmp_path / "rows.csv"
+    rows = [("a", 1.5, True), ("a\rb", 1.5, True), (0.25, 2, -0.0)]
+    crosscheck.write_rows(path, ("a", "b", "c"), rows)
+    assert path.read_bytes() == b'a,b,c\na,1.5,1\n"a\rb",1.5,1\n0.25,2,-0.0\n'
+
+
+@pytest.mark.parametrize("va, vb, passed", [
+    (np.inf, np.inf, True), (np.inf, -np.inf, False), (-np.inf, -np.inf, True),
+    (np.nan, np.nan, False),
+])
+@pytest.mark.parametrize("tol", [0.0, 1.0, np.nan])
+def test_compare_passes_only_equal_infinities(va, vb, passed, tol):
+    assert crosscheck._compare("s", "o", "a", va, "b", vb, tol).passed is passed
 
 
 def test_default_matrix_spans_killing_kinds():

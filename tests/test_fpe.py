@@ -36,18 +36,6 @@ def test_point_source_has_unit_mass():
     assert res.series.survival[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_density_stays_nonnegative():
-    res = fpe.evolve(
-        interval(PI),
-        KillingMeasure.dirac([(2.0, 1.0)]),
-        InitialCondition.point(1.0),
-        GridSpec(200, 1e-3, 0.5),
-        frame_times=[0.1, 0.5],
-    )
-    for frame in res.frames:
-        assert np.all(frame.density >= -1e-10)
-
-
 def test_discrete_conservation_is_exact():
     # d/dt survival = -(kill rate) - (boundary flux), checked on the CN
     # midpoint rates over a macroscopic window
@@ -334,7 +322,7 @@ def test_lu_solve_on_the_operator_and_the_crank_nicolson_matrix(left, right, pec
     cells, D, dt = 16, 0.5, 1e-2
     model = interval(1.0, left, right, diffusion=D, drift=2 * D * cells * peclet, phi=1.0)
     disc = fpe._Discretization(model, KillingMeasure.uniform(1.0), cells)
-    assert disc.peclet == pytest.approx(abs(peclet))
+    assert abs(model.drift) * disc.dx / (2 * D) == pytest.approx(abs(peclet))
     a = dense(disc.lower, disc.diag, disc.upper)
     cn = dgttrf(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
     rhs = np.random.default_rng(0).uniform(0.5, 1.5, disc.m)
@@ -355,22 +343,6 @@ def test_an_exactly_singular_system_is_refused():
     assert np.isnan(fpe._lu_solve(disc.neg_lu, np.ones(disc.m))).all()
     with pytest.raises(InputError, match=r"\(not finite\)"):
         disc.solve(disc.initial_vector(InitialCondition.point(0.5)))
-
-
-def test_observable_series_ratio_handles_zero_kill_rate():
-    res = fpe.evolve(
-        interval(PI), KillingMeasure(), InitialCondition.point(1.0), GridSpec(100, 1e-2, 0.1)
-    )
-    assert np.all(np.isinf(res.series.ratio_rt))
-
-
-def test_frames_are_emitted_at_requested_times():
-    res = fpe.evolve(
-        interval(PI), KillingMeasure(), InitialCondition.point(1.0),
-        GridSpec(100, 1e-2, 1.0), frame_times=[0.25, 0.5],
-    )
-    assert len(res.frames) == 2
-    assert [f.time for f in res.frames] == pytest.approx([0.25, 0.5])
 
 
 def stepped_evolve(*args, **kwargs):
@@ -402,86 +374,65 @@ def exponential_reference(model, killing, ic, grid, steps):
 def beside_the_exponential(res, args, stride, every):
     """res, run at stride, beside the dense e^(At) at every `every`-th step
     (a multiple of stride): the times, res's three observables and the
-    reference's (3 x times each), (time, density, reference) for each frame
-    and the final density, and the discretization."""
+    reference's (3 x times each), and the discretization."""
     grid = args[-1]
-    n_steps = round(grid.t_max / grid.dt)
-    checked = range(0, n_steps + 1, every)
-    densities = [(f.time, f.density) for f in res.frames] + [(n_steps * grid.dt, res.final_density)]
-    steps = set(checked) | {round(t / grid.dt) for t, _ in densities}
-    states, disc = exponential_reference(*args, sorted(steps))
+    checked = range(0, round(grid.t_max / grid.dt) + 1, every)
+    states, disc = exponential_reference(*args, checked)
     names = ("survival", "kill_rate", "boundary_flux")
     got = np.array([getattr(res.series, q)[:: every // stride] for q in names])
     ref = np.array([disc.weights @ states[n][disc.unknowns] for n in checked]).T
-    pairs = [(t, d, states[round(t / grid.dt)]) for t, d in densities]
-    return np.array(checked) * grid.dt, got, ref, pairs, disc
+    return np.array(checked) * grid.dt, got, ref, disc
 
 
 def assert_is_the_exponential(res, args, stride, every):
     """Within 1e-9 of the largest reference value, at every `every`-th step."""
-    _, got, ref, pairs, _ = beside_the_exponential(res, args, stride, every)
+    _, got, ref, _ = beside_the_exponential(res, args, stride, every)
     atol = 1e-9 * max(1.0, np.abs(ref).max())
     np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
-    for _, density, want in pairs:
-        np.testing.assert_allclose(density, want, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("ini", DECAYING + ("steady_uniform", "steady_dirac"))
 def test_spectral_route_is_the_exponential_of_the_operator(ini):
     # at every step at stride 1, and at a stride of 1/16 of the horizon,
-    # which keeps fewer modes, with frames near t_max / 8 and t_max / 2 on
-    # that stride; the dense reference holds at most 400 cells (expm took
-    # 1.4 s on green_rinf's 799 unknowns)
+    # which keeps fewer modes; the dense reference holds at most 400 cells
+    # (expm took 1.4 s on green_rinf's 799 unknowns)
     cfg = parse_config(os.path.join(SCENARIOS, f"{ini}.ini"))
     grid = replace(cfg.grid, cell_count=min(cfg.grid.cell_count, 400))
     args = (cfg.model, cfg.killing, InitialCondition.point(cfg.y), grid)
     coarse = max(1, round(grid.t_max / grid.dt) // 16)
-    frames = [2 * coarse * grid.dt, 8 * coarse * grid.dt]
     for stride in (1, coarse):
-        res = fpe.evolve(*args, frame_times=frames, stride=stride)
+        res = fpe.evolve(*args, stride=stride)
         assert res.route == "spectral"
         assert res.roundoff_bound <= 1e-10
         assert_is_the_exponential(res, args, stride, stride)
 
 
-def assert_same_states(res, ref):
-    # the spectral route drops the modes below e^-40 at the first reported
-    # step, so its states move with the stride, by under e^-40 of the weights
-    assert (res.route, res.roundoff_bound) == (ref.route, ref.roundoff_bound)
-    assert [f.time for f in res.frames] == [f.time for f in ref.frames]
-    pairs = [(f.density, g.density) for f, g in zip(res.frames, ref.frames)]
-    for got, want in pairs + [(res.final_density, ref.final_density)]:
-        if res.route == "stepped":
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-
-
 @pytest.mark.parametrize("ini", DECAYING + ("steady_uniform",))
 def test_stride_reports_every_stride_th_step_on_either_route(ini):
-    # spectral sums within round-off of the stride-1 series, the stepped
-    # route's bit for bit.  The stepped route runs a tenth of the steps,
-    # plus 3 so that neither 7 nor 10 divides the count: both divide the
-    # 14,000 steps of conditional_mfpt and dirac_reference
+    # spectral sums within round-off of the stride-1 series (the modes below
+    # e^-40 at the first reported step are dropped, so they move with the
+    # stride, by under e^-40 of the weights), the stepped route's bit for
+    # bit.  The stepped route runs a tenth of the steps, plus 3 so that
+    # neither 7 nor 10 divides the count: both divide the 14,000 steps of
+    # conditional_mfpt and dirac_reference
     cfg = parse_config(os.path.join(SCENARIOS, f"{ini}.ini"))
     dt = cfg.grid.dt
     short = replace(cfg.grid, t_max=(round(cfg.grid.t_max / dt) // 10 + 3) * dt)
     routes = (("spectral", cfg.grid, fpe.evolve), ("stepped", short, stepped_evolve))
     for route, grid, run in routes:
         args = (cfg.model, cfg.killing, InitialCondition.point(cfg.y), grid)
-        frames = [grid.t_max / 8, grid.t_max / 2]
         n_steps = round(grid.t_max / dt)
-        every = run(*args, frame_times=frames)
+        every = run(*args)
         assert every.route == route
         for stride in (1, 7, 10):
-            res = run(*args, frame_times=frames, stride=stride)
+            res = run(*args, stride=stride)
             np.testing.assert_array_equal(res.series.times, np.arange(0, n_steps + 1, stride) * dt)
-            assert_same_states(res, every)
-            for q in ("survival", "kill_rate", "boundary_flux", "ratio_rt"):
+            assert (res.route, res.roundoff_bound) == (every.route, every.roundoff_bound)
+            for q in ("survival", "kill_rate", "boundary_flux"):
                 got, sliced = getattr(res.series, q), getattr(every.series, q)[::stride]
                 if route == "stepped":
                     assert np.array_equal(got, sliced), q
-                elif q != "ratio_rt":
+                else:
                     atol = 1e-12 * max(1.0, np.abs(sliced).max())
                     np.testing.assert_allclose(got, sliced, rtol=0, atol=atol, err_msg=q)
 
@@ -493,16 +444,17 @@ def test_survival_is_exact_in_time_at_any_step(dt):
     # series on [0, pi] at pi^2 t and pi y, is 0.1171509807.  e^(At) missed
     # it by 2.35e-6 at every dt, the spatial error alone; Crank-Nicolson
     # missed it by -2.4e-2, -2.2e-4 and -1.6e-7, and its density rang down
-    # to -9.16, -32.8 and -0.122
+    # to -9.16, -32.8 and -0.122; the rates of e^(At) keep their sign
     t = 0.2
-    res = fpe.evolve(
+    args = (
         interval(1.0), KillingMeasure.uniform(1.0), InitialCondition.point(0.3),
-        GridSpec(200, dt, t), frame_times=[t], stride=1,
+        GridSpec(200, dt, t),
     )
+    res = fpe.evolve(*args, stride=1)
     exact = math.exp(-t) * analytic.survival_series_free(PI**2 * t, PI * 0.3)
     assert res.route == "spectral"
     assert abs(res.series.survival[-1] - exact) <= 3e-6
-    assert res.frames[0].density[1:-1].min() > 0
+    assert_within_rounding_of_the_exponential(res, args, 1)
 
 
 @pytest.mark.parametrize("stride", [0, -3, 2.5])
@@ -523,18 +475,19 @@ def test_drift_on_each_side_of_the_roundoff_guard(drift, route, caplog):
         GridSpec(400, 1e-3, 1.0),
     )
     with caplog.at_level(logging.WARNING, logger="killdiff"):
-        res = fpe.evolve(*args, frame_times=[0.05])
+        res = fpe.evolve(*args)
     assert res.route == route
     assert (res.roundoff_bound <= 1e-10) == (route == "spectral")
-    assert res.cell_peclet == pytest.approx(drift / 800)
+    model, _, _, grid = args
+    cell_peclet = abs(model.drift) * model.domain.length / grid.cell_count / (2 * model.diffusion)
+    assert cell_peclet == pytest.approx(drift / 800)
     assert ("stepping" in caplog.text) == (route == "stepped")
     if route == "spectral":
         assert_is_the_exponential(res, args, 1, 50)
     else:
-        ref = stepped_evolve(*args, frame_times=[0.05])
+        ref = stepped_evolve(*args)
         for q in ("times", "survival", "kill_rate", "boundary_flux"):
             np.testing.assert_array_equal(getattr(res.series, q), getattr(ref.series, q))
-        assert_same_states(res, ref)
 
 
 @pytest.mark.parametrize("drift", [0.0, 28.0, 40.0, 60.0])
@@ -615,7 +568,7 @@ def test_evolve_past_cell_peclet_one_sums_to_the_mean_exit_time():
     res = fpe.evolve(
         model, KillingMeasure(), InitialCondition.point(DRIFT["y"]), GridSpec(50, 1e-4, 0.1)
     )
-    assert res.cell_peclet == pytest.approx(4.0)
+    assert abs(model.drift) * DRIFT["length"] / 50 / (2 * model.diffusion) == pytest.approx(4.0)
     s = res.series.survival
     assert s[-1] < 1e-100
     integral = 1e-4 * (s.sum() - (s[0] + s[-1]) / 2)
@@ -755,8 +708,8 @@ def exponential_tolerance(res, disc, times, memory):
     min(t, memory) eps |A| of the weights, on top of the sums' own estimate
     `roundoff_bound` (at least eps sum_j |w_j|) and the reference's eps max S.
     Over 9,600 drawn problems, over 6,700 on the spectral route, the survival
-    missed by at most 13.6 times the bracket (this tolerance over 64), a rate times dt by 0.43 times
-    it and a density times h by 0.97 times it."""
+    missed by at most 13.6 times the bracket (this tolerance over 64) and a
+    rate times dt by 0.43 times it."""
     norm_a = 2 * np.abs(disc.diag).max()
     eps = np.finfo(float).eps
     scale = eps * max(1.0, np.abs(res.series.survival).max()) + res.roundoff_bound
@@ -764,18 +717,18 @@ def exponential_tolerance(res, disc, times, memory):
 
 
 def assert_within_rounding_of_the_exponential(res, args, stride):
-    """At every reported step, rates in per-step probability (times dt) and
-    densities in mass per node (times h); every density at least minus that
-    rounding, since e^(At) of the M-matrix A keeps the density nonnegative."""
-    times, got, ref, pairs, disc = beside_the_exponential(res, args, stride, stride)
+    """At every reported step, rates in per-step probability (times dt).
+    e^(At) of the M-matrix A keeps the state nonnegative and the weight rows
+    are nonnegative, so both rates are at least minus that rounding and,
+    without injection, survival does not grow by more than it."""
+    times, got, ref, disc = beside_the_exponential(res, args, stride, stride)
     model, killing, _, grid = args
-    memory = decay_time(model, killing, grid.cell_count)
-    per_step = np.abs(got - ref) * np.array([1.0, grid.dt, grid.dt])[:, None]
-    assert np.all(per_step <= exponential_tolerance(res, disc, times, memory))
-    for t, density, want in pairs:
-        node_tol = exponential_tolerance(res, disc, t, memory) / disc.h
-        assert np.all(np.abs(density - want) <= node_tol)
-        assert np.all(density >= -node_tol)
+    tol = exponential_tolerance(res, disc, times, decay_time(model, killing, grid.cell_count))
+    per_step = np.array([1.0, grid.dt, grid.dt])[:, None]
+    assert np.all(np.abs(got - ref) * per_step <= tol)
+    assert np.all(got[1:] * per_step[1:] >= -tol)
+    if not disc.source.any():
+        assert np.all(np.diff(got[0]) <= tol[1:])
 
 
 @given(valid_problems())
@@ -809,7 +762,7 @@ def test_spectral_route_is_exact_in_time_and_nonnegative_with_any_modes_kept(pro
     # below e^-50 at the first reported step, so that none is kept: every
     # reported step after step 0 is then the steady state
     model, killing, ic, grid = problem
-    res = fpe.evolve(model, killing, ic, grid, frame_times=[0.0, grid.t_max / 3])
+    res = fpe.evolve(model, killing, ic, grid)
     if res.route != "spectral":
         return
     assert_within_rounding_of_the_exponential(res, problem, 1)
@@ -819,14 +772,13 @@ def test_spectral_route_is_exact_in_time_and_nonnegative_with_any_modes_kept(pro
         return  # no absorbing end and no killing, or too slow to resolve
     stride = math.ceil(50 / (slowest * grid.dt))
     coarse = replace(grid, t_max=3 * stride * grid.dt)
-    res = fpe.evolve(model, killing, ic, coarse, frame_times=[coarse.t_max / 3], stride=stride)
+    res = fpe.evolve(model, killing, ic, coarse, stride=stride)
     assert res.route == "spectral"
     assert res.series.times.size >= 3  # t_max / dt may round a few steps short of 3 stride
     s = np.array([res.series.survival, res.series.kill_rate, res.series.boundary_flux])
     assert np.all(s[:, 1:] == s[:, 1:2])
-    np.testing.assert_array_equal(res.frames[0].density, res.final_density)
     if not (model.domain.left.phi or model.domain.right.phi):
-        assert not s[:, 1:].any() and not res.final_density.any()
+        assert not s[:, 1:].any()
     assert_within_rounding_of_the_exponential(res, (model, killing, ic, coarse), stride)
 
 

@@ -111,19 +111,11 @@ def test_max_steps_guard():
         )
 
 
-def test_kill_histogram_requires_events():
-    model = interval(PI)
-    killing = KillingMeasure.dirac([(2.0, 0.01)])
-    out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=50))
-    with pytest.raises(AccuracyError, match="kill events"):
-        montecarlo.kill_location_histogram(out, min_events=100)
-
-
 def test_kill_histogram_concentrates_at_spot():
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 5.0)])
     out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=4000))
-    edges, density = montecarlo.kill_location_histogram(out, bins=np.linspace(0, PI, 64))
+    edges, density = montecarlo.kill_location_histogram(out)
     centers = (edges[:-1] + edges[1:]) / 2
     peak = centers[np.argmax(density)]
     assert abs(peak - 2.0) < 0.1
