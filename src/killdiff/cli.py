@@ -17,9 +17,9 @@ default one rate, 0, and no breakpoints) plus point spots (default none).
 With no positive rate or strength it is zero killing.  Unknown sections or
 keys are rejected.  All quantities are dimensionless; supply
 consistent units (d in length^2/time, rates in 1/time, spot strengths in
-length/time).  `dt` and `t_max` set the steps of `pde` evolution only:
-`split --method pde` is the exact infinite-horizon sum of the
-Crank-Nicolson scheme and depends on `cells` alone.
+length/time).  `dt` and `t_max` set the reported times of `pde` evolution
+only: `split --method pde` is the exact infinite-horizon integral of the
+semi-discrete solution and depends on `cells` alone.
 
 The MC worker count is `--workers` (a positive integer, default 1).
 
@@ -280,7 +280,7 @@ def _cmd_mc(args) -> int:
         list(zip(times, surv, se)),
     )
     if args.histogram and out.killed.any():
-        edges, density = montecarlo.kill_location_histogram(out)
+        edges, density = montecarlo.kill_location_histogram(out, cfg.model.domain.length)
         _write_rows(
             _out_path(cfg.out_dir, args, "histogram.csv"),
             ("bin_left", "bin_right", "density"),

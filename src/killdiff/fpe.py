@@ -13,40 +13,27 @@ dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes
 the absorbed/killed bookkeeping in `split_statistics` exact; each solve
 checks it (`_Discretization.solve`).
 
-At every drift a diagonal similarity S makes the operator A symmetric with
-eigenvalues lam_j.  `evolve` uses this: survival, kill rate and absorbed
-flux of the semi-discrete solution e^(At) u0 are each
-const + sum_j w_j e^(lam_j t), exact in time, summed only at the K steps
-it reports (every `stride`-th); dt sets only that reporting grid, and it
-returns those three series, never a density.  A mode below e^-40 at
-dt stride, the first reported time after 0, is dropped, so on m unknown
-nodes it costs O(m^2) for the eigenvalues, inverse iteration for the
-eigenvectors of the k slow modes alone, and 3 k K products.  Strong drift
-makes S far from the identity and those sums cancel; where their round-off
-estimate is too large, `evolve` steps the Crank-Nicolson scheme, one solve
-per step with I - dt/2 A factored once, and so carries its O(dt^2) time
-error.  The estimate of the rates is scaled by dt, so fine grids and coarse
-dt can send even a problem without drift to that loop (logged as a
-warning).  `decay_rate` is the top
-eigenvalue of the same symmetric form.  `split_statistics` does not step
-either: the Crank-Nicolson midpoint sums over an infinite horizon are, for
-every dt, (-A)^-1 u0 and A^-2 u0, which are also the time integrals of
-e^(At) u0 and t e^(At) u0, so the split is two solves with one
-factorization of -A.  Every solve applies LU factors with partial pivoting
-(LAPACK gttrf), made once per matrix, with LAPACK gttrs.
+`evolve` sums each observable of the semi-discrete solution at each
+reported time on its own, exact in time: the inverse Laplace transform of
+c.(zI - A)^-1 (u0 + source/z) by the trapezoid rule on a parabolic contour,
+one complex tridiagonal solve per node, with no eigenproblem and no step;
+where its time windows meet, their difference estimates the error.
+`decay_rate` is the top eigenvalue of the symmetric form S A S^-1, S
+diagonal.  `split_statistics` is (-A)^-1 u0 and A^-2 u0, the time integrals
+of e^(At) u0 and t e^(At) u0: two solves with one factorization of -A, by
+LU factors with partial pivoting (LAPACK gttrf, applied with gttrs).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dstein
+from scipy.linalg.lapack import dgttrf, dgttrs, zgtsv
 
 from .model import (
     BoundaryKind,
@@ -58,20 +45,18 @@ from .model import (
     SteadyStateSolution,
     require_valid,
 )
-from .numerics import AccuracyError
 
-_log = logging.getLogger("killdiff")
-
-# eigenvectors per inverse-iteration call: no m x m array is ever formed
-_EIG_BLOCK = 64
-# most reported steps per table product when summing the modes
-_CHUNK = 128
-# the spectral route runs when its round-off estimate is at most this times S(0)
-_SPECTRAL_ROUNDOFF = 1e-10
-# the spectral route drops the modes below e^-40 at the first reported step:
-# they add at most e^-40 sum |w_j| <= (e^-40 / eps) x the round-off estimate,
-# under 0.02 of it, at that step and every later one
-_MODE_CUT = 40.0
+# `evolve`'s contour z = mu (1 + iu)^2, u = k h, |k| <= N, h = _STEP / N,
+# mu = _SHIFT N / (_WINDOW t0) for t in [t0, _WINDOW t0] (Weideman &
+# Trefethen, Math. Comp. 2007).  Drift far from normal needs more nodes, but
+# the round-off grows like e^(mu _WINDOW t0) = e^(N / 6), past 1e-9 at N = 96
+_NODES = (24, 32, 48, 64)
+_WINDOW = 4
+_STEP = 5.0
+_SHIFT = 0.1665
+_CONTOUR_TOL = 1e-10
+# unknowns per block solve: the block's arrays stay in cache
+_BLOCK = 4096
 # a solve's balance kill + absorbed = inflow misses by round-off, eps |A| T
 # for mass staying a time T: 4 eps n^2 on n cells if T ~ L^2/D.  A miss
 # over 1e-8 and 16 eps n^2 marks mass held far longer: drift traps it
@@ -79,9 +64,6 @@ _BALANCE_BOUND, _BALANCE_ROUNDOFF = 1e-8, 16.0
 # decay rates below this times eps |A|_inf are refused: the bisection's
 # absolute error, about eps |A|, would be over 1% of them
 _DECAY_RESOLUTION = 100.0
-# widest log-range of the similarity that keeps S, S^-1 and the mode weights
-# finite; sums over so non-normal an operator would fail the bound anyway
-_MAX_LOG_SIMILARITY = 600.0
 
 
 @dataclass(frozen=True)
@@ -108,8 +90,7 @@ class ObservableSeries:
 @dataclass(frozen=True)
 class FpeResult:
     series: ObservableSeries
-    route: str  # "spectral" (eigenbasis propagation) or "stepped"
-    roundoff_bound: float  # of the spectral sums; inf when they cannot be formed
+    error_estimate: float  # where the contour's windows meet, in survival units
 
 
 @dataclass(frozen=True)
@@ -203,12 +184,13 @@ class _Discretization:
         di -= self.k[self.unknowns]
         self.lower, self.diag, self.upper = lo, di, up
 
-    def symmetric_form(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(e, log s): S A S^-1 with S = diag(s) is the symmetric tridiagonal
-        matrix with diagonal `diag` and off-diagonal e = sqrt(lower * upper)."""
-        e = np.sqrt(self.lower * self.upper)
-        log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(self.upper / self.lower))))
-        return e, log_s
+    @cached_property
+    def norm(self) -> float:
+        """|A|_inf, the largest absolute row sum."""
+        rows = np.abs(self.diag)
+        rows[1:] += np.abs(self.lower)
+        rows[:-1] += np.abs(self.upper)
+        return float(rows.max())
 
     def point_mass(self, pos: float, strength: float = 1.0) -> np.ndarray:
         """Nodal density of mass `strength` at pos, split linearly over the
@@ -261,161 +243,104 @@ def evolve(
     grid: GridSpec,
     stride: int = 1,
 ) -> FpeResult:
-    """Time evolution: survival, kill rate and absorbed flux at steps 0,
-    stride, 2 stride, ... up to the last step, and how they were made.
-
-    The semi-discrete solution e^(At) u0 is summed in the eigenbasis of the
-    symmetrized operator (`_eigenmodes`, `_mode_sums`), exact in time: dt and
-    stride set only the reported times, and the modes below e^-40 at
-    t = dt stride, the first reported time after 0, are dropped.  Where the
-    round-off estimate of those sums exceeds 1e-10 S(0), or an injection
-    problem has no steady state, the Crank-Nicolson scheme is stepped
-    instead (`_step`), one solve per step with I - dt/2 A factored once; its
-    iterates carry the scheme's O(dt^2) time error, and a warning is logged.
-    The estimate exceeds the limit where strong drift makes the operator far
-    from normal, but also at any drift on fine grids or at coarse dt: its
-    rates are scaled by dt, and from a point start grow like cells^2 (on
-    [0, 1] with d 1 from 0.3, 800 cells at dt 0.5 and 3,200 cells at dt 0.05
-    are stepped).
-    `FpeResult.route` says which route ran.  Step 0 is u0 on either route.
-    The route and the round-off estimate do not depend on stride; the
-    spectral series does only through the dropped modes, within that
-    estimate."""
+    """Survival, kill rate and absorbed flux of u' = A u + source from u0 at
+    steps 0, stride, 2 stride, ... up to the last step, and an estimate of
+    their error.  Each time after 0 is summed on its own (`_contour`), exact
+    in time and over the same window at every stride."""
     require_valid(model, killing, ic)
     if stride < 1 or stride != int(stride):
         raise InputError(f"stride must be a positive integer, got {stride!r}")
-    stride = int(stride)
     disc = _Discretization(model, killing, grid.cell_count)
-    dt = grid.dt
-    n_steps = max(1, int(round(grid.t_max / dt)))
+    n_steps = max(1, int(round(grid.t_max / grid.dt)))
+    steps = np.arange(0, n_steps + 1, int(stride))
     u0 = disc.initial_vector(ic)
-
-    modes = _eigenmodes(disc, u0, dt, dt * stride)
-    bound = modes.bound if modes else math.inf
-    limit = _SPECTRAL_ROUNDOFF * float(disc.weights[0] @ u0)
-    if bound <= limit:
-        route = "spectral"
-        obs = _mode_sums(modes.r, modes.weights, n_steps, stride)
-        obs += modes.steady_observables[:, None]
-        obs[:, 0] = disc.weights @ u0
-    else:
-        route = "stepped"
-        _log.warning(
-            "evolve: stepping %d Crank-Nicolson steps on %d cells, with their O(dt^2) "
-            "time error (spectral round-off estimate %.3g > %.3g)",
-            n_steps, disc.n, bound, limit,
-        )
-        obs = _step(disc, u0, dt, n_steps, stride)
-
-    times = np.arange(0, n_steps + 1, stride) * dt
-    return FpeResult(ObservableSeries(times, *obs), route, bound)
+    obs = np.empty((3, steps.size))
+    obs[:, 0] = disc.weights @ u0
+    obs[:, 1:], estimate = _contour(disc, u0, steps[1:], grid.dt)
+    return FpeResult(ObservableSeries(steps * grid.dt, *obs), estimate)
 
 
-class _Modes(NamedTuple):
-    r: np.ndarray  # per-step factor e^(dt lam) of each kept mode
-    weights: np.ndarray  # kept x 3: each mode's share of survival, kill rate, absorbed flux
-    steady_observables: np.ndarray  # the three observables of the steady state
-    bound: float
+def _contour(
+    disc: _Discretization, u0: np.ndarray, steps: np.ndarray, dt: float
+) -> Tuple[np.ndarray, float]:
+    """The observables at t = n dt for the steps n, the positive multiples
+    of one stride in order, and the largest miss where two windows meet.
+
+    Each is (1/2 pi i) int e^(zt) c.(zI - A)^-1 (u0 + source / z) dz, summed
+    over each window [t0, _WINDOW t0], t0 = dt _WINDOW^j, that holds a
+    reported time and the one below them; the node at -k is the conjugate of
+    the node at k.  Where windows meet, their difference, a rate's times t,
+    estimates the error of both; the two take the next N of _NODES until it
+    is within (_CONTOUR_TOL + eps |A| t) max S, or the problem is refused."""
+    obs = np.empty((3, steps.size))
+    if not steps.size:
+        return obs, 0.0
+    # window j holds the steps in [_WINDOW^j, _WINDOW^(j+1)); the edges run past the last step
+    edges = _WINDOW ** np.arange(int(math.log(steps[-1], _WINDOW)) + 3)
+    cuts = np.searchsorted(steps, edges)
+    first, last = (np.searchsorted(edges, steps[[0, -1]], side="right") - 1).tolist()
+    meet = dt * edges[first : last + 1]
+    level, todo = np.zeros(last - first + 2, int), range(last - first + 2)
+    ends, rules = np.empty((level.size, 3, 2)), {}  # window first - 1 + w at t0, _WINDOW t0
+    while True:
+        for w in todo:
+            j, nodes = first - 1 + w, _NODES[level[w]]
+            if nodes not in rules:
+                # z t0 = mu t0 (1 + iu)^2 and h/(2 pi i) dz/du t0 = (h mu t0 / pi)(1 + iu)
+                h, mu_t0 = _STEP / nodes, _SHIFT * nodes / _WINDOW
+                u = h * np.arange(nodes + 1)
+                zt0, weight = mu_t0 * (1 + 1j * u) ** 2, (2 * h * mu_t0 / math.pi) * (1 + 1j * u)
+                weight[0] /= 2
+                rules[nodes] = zt0, weight, np.exp(np.outer(zt0, (1, _WINDOW)))
+            (zt0, weight, at_ends), t0 = rules[nodes], dt * float(_WINDOW) ** j
+            g = weight / t0 * _resolvent(disc, u0, zt0 / t0)
+            if w:
+                lo, hi = cuts[j], cuts[j + 1]
+                obs[:, lo:hi] = _sums(zt0, g, steps[lo] * dt / t0, steps[0] * dt / t0, hi - lo)
+            ends[w] = g.real @ at_ends.real - g.imag @ at_ends.imag
+        miss = np.abs(ends[:-1, :, 1] - ends[1:, :, 0])
+        miss[:, 1:] *= meet[:, None]
+        tol = max(1.0, np.abs(obs[0]).max()) * (_CONTOUR_TOL + np.finfo(float).eps * disc.norm * meet)
+        bad = np.flatnonzero(~np.all(miss <= tol[:, None], axis=1))
+        if not bad.size:
+            return obs, float(miss.max())
+        todo = np.union1d(bad, bad + 1)
+        todo = todo[level[todo] < len(_NODES) - 1]
+        if not todo.size:
+            break
+        level[todo] += 1
+    worst = bad[np.argmax(miss[bad].max(axis=1) / tol[bad])]
+    raise InputError(
+        f"the contour sums miss by {miss[worst].max():.3g} at t = {meet[worst]:.3g} with "
+        f"{_NODES[-1]} nodes, tolerance {tol[worst]:.3g}: drift makes A too far from normal"
+    )
 
 
-def _eigenmodes(disc: _Discretization, u0: np.ndarray, dt: float, t1: float) -> Optional[_Modes]:
-    """The semi-discrete solution u(t) = u* + e^(At) (u_0 - u*) in the
-    eigenbasis of the symmetrized operator, at t = n dt.  With
-    S A S^-1 = V diag(lam) V^T and u* = (-A)^-1 source the steady state,
-    u(n dt) = u* + S^-1 V diag(r^n) V^T S (u_0 - u*) with r = e^(dt lam), so
-    each observable c.u(n dt) is c.u* + sum_j w_j r_j^n with
-    w_j = (V^T S^-1 c)_j (V^T S (u_0 - u*))_j.
-
-    Every step reported after step 0 is a multiple of the stride, at least
-    t1 = dt stride in, so only the modes with lam t1 > -_MODE_CUT are kept,
-    and inverse iteration finds the eigenvectors of those alone, in blocks,
-    never held together; only their weights are formed, never a state.  The
-    round-off is estimated by eps |S^-1 c| |S (u_0 - u*)|, the rates' scaled
-    by dt to a per-step probability: at least eps sum_j |w_j|, large when
-    drift makes S far from the identity, and an estimate, not a bound:
-    against the stepped scheme it held up to an absolute floor of 1.6e-13
-    from the eigenvectors' orthogonality.  The dropped modes add at most
-    e^-_MODE_CUT sum_j |w_j|, under 0.02 of that estimate.  None when no
-    similarity is representable, the steady state does not exist or inverse
-    iteration fails."""
-    e, log_s = disc.symmetric_form()
-    if np.ptp(log_s) > _MAX_LOG_SIMILARITY:
-        return None
-    if disc.source.any():
-        try:
-            steady, steady_obs = disc.solve(disc.source)
-        except InputError:
-            return None  # the injected mass grows without bound, or beyond double precision
-    else:
-        steady, steady_obs = np.zeros(disc.m), [0.0] * 3
-    s = np.exp(log_s - (log_s.max() + log_s.min()) / 2)
-    c = disc.weights
-    # lam ascends, so the modes above e^-_MODE_CUT at t1 are a suffix
-    lam = eigvalsh_tridiagonal(disc.diag, e)
-    lam = lam[np.searchsorted(lam, -_MODE_CUT / t1, side="right"):]
-    r = np.exp(dt * lam)
-
-    c_s = (c / s).T
-    z_s = s * (u0 - steady)
-    c_modes = np.empty((lam.size, 3))
-    z_modes = np.empty(lam.size)
-    # one unreduced block: every off-diagonal of the symmetric form is positive
-    iblock = np.ones(disc.m, dtype=np.int32)
-    isplit = np.full(disc.m, disc.m, dtype=np.int32)
-    for j in range(0, lam.size, _EIG_BLOCK):
-        blk = slice(j, j + _EIG_BLOCK)
-        v, info = dstein(disc.diag, e, lam[blk], iblock, isplit)
-        if info:
-            return None
-        c_modes[blk] = v.T @ c_s
-        z_modes[blk] = v.T @ z_s
-    weights = c_modes * z_modes[:, None]
-    scale = np.linalg.norm(c_s, axis=0) * np.linalg.norm(z_s) * (1.0, dt, dt)
-    bound = float(np.finfo(float).eps * np.max(scale))
-    return _Modes(r, weights, np.array(steady_obs), bound)
+def _resolvent(disc: _Discretization, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """c.(zI - A)^-1 (u0 + source / z) for each z (3 x z.size).  Each LAPACK
+    gtsv call solves up to _BLOCK unknowns of these systems as the blocks
+    of one tridiagonal matrix, joined by zeros that pivoting never crosses."""
+    per = min(z.size, max(1, _BLOCK // disc.m))
+    off = np.zeros((2, per, disc.m))
+    off[0, :, :-1], off[1, :, :-1] = -disc.lower, -disc.upper
+    x = u0 + disc.source / z[:, None]
+    for i in range(0, z.size, per):
+        zi = z[i : i + per, None]
+        lower, upper = off[:, : zi.size].reshape(2, -1)[:, :-1]
+        xi, info = zgtsv(lower, (zi - disc.diag).ravel(), upper, x[i : i + per].ravel())[3:]
+        x[i : i + per] = math.nan if info else xi.reshape(zi.size, disc.m)  # nan: an exactly zero pivot
+    # real products: OpenBLAS's complex one took up to 1000 times as long
+    return disc.weights @ x.real.T + 1j * (disc.weights @ x.imag.T)
 
 
-def _mode_sums(r: np.ndarray, weights: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
-    """sum_j weights[j] r_j^n for n = 0, stride, 2 stride, ... <= n_steps, one
-    row per column of weights, r_j = e^(dt lam_j) the per-step factor of each
-    kept mode: one (3 x m)(m x chunk) product per chunk of reported steps
-    against a fixed table of r^(stride i), i < chunk.  The table and the
-    chunk offsets take m (chunk + K / chunk) powers for K reported steps,
-    fewest at a chunk of sqrt(K), held to _CHUNK so that the table never
-    outgrows m x _CHUNK."""
-    k = n_steps // stride + 1
-    chunk = min(_CHUNK, max(1, math.isqrt(k)))
-    table = r[:, None] ** (stride * np.arange(chunk))
-    out = np.empty((weights.shape[1], k))
-    for i0 in range(0, k, chunk):
-        i1 = min(i0 + chunk, k)
-        out[:, i0:i1] = (weights * r[:, None] ** (i0 * stride)).T @ table[:, : i1 - i0]
-    return out
-
-
-def _step(
-    disc: _Discretization, u0: np.ndarray, dt: float, n_steps: int, stride: int
-) -> np.ndarray:
-    """The Crank-Nicolson step loop: the observables (3 x reported steps) at
-    every stride-th step; only the current iterate is held."""
-    lu = dgttrf(-dt / 2 * disc.lower, 1 - dt / 2 * disc.diag, -dt / 2 * disc.upper)
-    m2_lo = dt / 2 * disc.lower
-    m2_di = 1 + dt / 2 * disc.diag
-    m2_up = dt / 2 * disc.upper
-
-    u = u0
-    obs = np.empty((3, n_steps // stride + 1))
-    for step in range(n_steps + 1):
-        if step:
-            rhs = m2_di * u + dt * disc.source
-            rhs[:-1] += m2_up * u[1:]
-            rhs[1:] += m2_lo * u[:-1]
-            u = _lu_solve(lu, rhs)
-            if step % 200 == 0 and not np.all(np.isfinite(u)):
-                raise AccuracyError(f"solution blew up at t={step * dt}")
-        if step % stride == 0:
-            obs[:, step // stride] = disc.weights @ u
-    return obs
+def _sums(zt0: np.ndarray, g: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """Re sum_k g[:, k] e^(zt0_k s) at s = start + i step, i < count, from
+    e^(zt0 (start + a b step)) e^(zt0 c step), i = a b + c, c < b ~ sqrt(count)."""
+    b = math.isqrt(count - 1) + 1
+    a = -(-count // b)
+    p = (g[:, None, :] * np.exp((start + step * b * np.arange(a))[:, None] * zt0)).reshape(3 * a, -1)
+    q = np.exp(zt0[:, None] * (step * np.arange(b)))
+    return (p.real @ q.real - p.imag @ q.imag).reshape(3, a * b)[:, :count]
 
 
 def split_statistics(
@@ -428,11 +353,9 @@ def split_statistics(
     absorbed-to-killed ratio: the exact infinite-horizon integrals of the
     semi-discrete solution e^(At) u0 that `evolve` sums.
 
-    They are y1 = (-A)^-1 u0 and y2 = (-A)^-1 y1, the integrals of e^(At) u0
-    and t e^(At) u0.  With u_n the Crank-Nicolson iterates, the midpoint
-    sums sum dt (u_{n-1} + u_n)/2 and sum (n - 1/2) dt dt (u_{n-1} + u_n)/2
-    telescope to the same y1 and y2 for every dt, so only grid.cell_count
-    matters; dt and t_max do not.  The kill and absorption rates of y1 give the split
+    They are y1 = (-A)^-1 u0 and y2 = (-A)^-1 y1, the integrals over
+    [0, inf) of e^(At) u0 and t e^(At) u0, so only grid.cell_count matters;
+    dt and t_max do not.  The kill and absorption rates of y1 give the split
     probabilities, those of y2 the time moments; p_killed + p_absorbed =
     S(0) holds to round-off, or the solve is refused, and is normalized to 1."""
     require_valid(model, killing, ic)
@@ -507,17 +430,14 @@ def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) 
     if not has_absorbing and killing.is_zero:
         raise InputError("decay rate needs an absorbing boundary or nonzero killing")
     disc = _Discretization(model, killing, cell_count)
-    e, _ = disc.symmetric_form()
-    # bisection to full relative accuracy needs the smallest tolerance
+    # S A S^-1 has off-diagonal sqrt(lower * upper); bisection to full
+    # relative accuracy needs the smallest tolerance
     top = eigvalsh_tridiagonal(
-        disc.diag, e, select="i", select_range=(disc.m - 1, disc.m - 1),
-        tol=2 * np.finfo(float).tiny,
+        disc.diag, np.sqrt(disc.lower * disc.upper), select="i",
+        select_range=(disc.m - 1, disc.m - 1), tol=2 * np.finfo(float).tiny,
     )
     rate = float(-top[0])
-    norm = np.abs(disc.diag)
-    norm[1:] += np.abs(disc.lower)
-    norm[:-1] += np.abs(disc.upper)
-    bound = _DECAY_RESOLUTION * np.finfo(float).eps * float(norm.max())
+    bound = _DECAY_RESOLUTION * np.finfo(float).eps * disc.norm
     if not rate >= bound:
         raise InputError(
             f"decay rate {rate:.3g} is below what the eigenvalue solve resolves, "

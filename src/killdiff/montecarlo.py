@@ -438,10 +438,10 @@ def simulate_split(
     return split_from_outcomes(simulate_outcomes(model, killing, y, cfg))
 
 
-def kill_location_histogram(out: TrajectoryOutcomes) -> Tuple[np.ndarray, np.ndarray]:
+def kill_location_histogram(out: TrajectoryOutcomes, length: float) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized histogram (edges, density) of the kill positions in 50
-    bins; at least one trajectory must have been killed."""
-    density, edges = np.histogram(out.position[out.killed], bins=50, density=True)
+    bins over [0, length]; at least one trajectory must have been killed."""
+    density, edges = np.histogram(out.position[out.killed], bins=50, range=(0.0, length), density=True)
     return edges, density
 
 

@@ -345,9 +345,9 @@ def test_trapped_steady_state_exits_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_trapped_evolution_is_stepped(tmp_path):
-    # the steady solve that the eigenbasis route needs is refused, so the
-    # scheme is stepped; at 64 cells that solve once failed outright
+def test_trapped_evolution_is_written(tmp_path):
+    # the steady solve is refused here (at 64 cells it once failed
+    # outright), but `pde` evolution needs none
     text = TRAPPED_STEADY.format(left="reflecting", killing="spots = 0.5:1.0", cells=64)
     out = tmp_path / "out"
     assert main(["--out", str(out), "pde", write(tmp_path, text + "[initial]\ny = 0.3\n")]) == 0

@@ -112,13 +112,16 @@ def test_max_steps_guard():
 
 
 def test_kill_histogram_concentrates_at_spot():
+    # every kill sits on the spot: the bins still span [0, L], and all the
+    # mass is in the spot's bin
     model = interval(PI)
     killing = KillingMeasure.dirac([(2.0, 5.0)])
     out = montecarlo.simulate_outcomes(model, killing, 1.0, cfg(n_trajectories=4000))
-    edges, density = montecarlo.kill_location_histogram(out)
-    centers = (edges[:-1] + edges[1:]) / 2
-    peak = centers[np.argmax(density)]
-    assert abs(peak - 2.0) < 0.1
+    edges, density = montecarlo.kill_location_histogram(out, PI)
+    assert (edges[0], edges[-1], edges.size) == (0.0, PI, 51)
+    spot = np.searchsorted(edges, 2.0, side="right") - 1
+    assert density[spot] * (edges[spot + 1] - edges[spot]) == pytest.approx(1.0, rel=1e-12)
+    assert not np.delete(density, spot).any()
 
 
 def test_simulate_rs_matches_closed_form():
