@@ -15,11 +15,12 @@ Scenario configs are INI files with sections:
 that is constant between breakpoints (one more rate than breakpoints;
 default one rate, 0, and no breakpoints) plus point spots (default none).
 With no positive rate or strength it is zero killing.  Unknown sections or
-keys are rejected.  All quantities are dimensionless; supply
-consistent units (d in length^2/time, rates in 1/time, spot strengths in
-length/time).  `dt` and `t_max` set the reported times of `pde` evolution
-only: `split --method pde` is the exact infinite-horizon integral of the
-semi-discrete solution and depends on `cells` alone.
+keys, and numbers that are not finite, are rejected.  All quantities are
+dimensionless; supply consistent units (d in length^2/time, rates in
+1/time, spot strengths in length/time).  `dt` and `t_max` set the
+reported times of `pde` evolution only: `split --method pde` is the exact
+infinite-horizon integral of the semi-discrete solution and depends on
+`cells` alone.
 
 The MC worker count is `--workers` (a positive integer, default 1).
 
@@ -34,11 +35,13 @@ CSV schemas (stable; `crosscheck.write_rows` writes every file):
     report.csv     the fields of `crosscheck.Comparison`
     discrepancies.csv  the fields of `crosscheck.Discrepancy`
 
-Every subcommand parses its config, calls the library and writes the
-result.  `analytic`, `split --method analytic` and the analytic rows of a
-steady `sweep` write what `crosscheck.closed_forms` returns (the split
-writes NaN for a mean time it has no form for); closed forms hold only
-without drift.
+`main` parses the config once, applies `--seed` and `--workers`, and writes
+each table a subcommand returns, under `--out` or else `[output] dir`,
+printing `wrote <path>` for each; a subcommand only calls the library.
+`crosscheck` has no config and writes its own report.  `analytic`,
+`split --method analytic` and the analytic rows of a steady `sweep` write
+what `crosscheck.closed_forms` returns (the split writes NaN for a mean
+time it has no form for); closed forms hold only without drift.
 `mc` runs one simulation and takes the survival curve (at up to `--points`
 multiples of `mc_dt`), the kill-location histogram (skipped when nothing
 was killed) and the split from it.
@@ -56,14 +59,16 @@ must be positive integers.
 `main` may be called any number of times in one process; each call
 parses its own arguments against the one parser `build_parser` builds.
 
-Exit codes: 0 success, 1 failed row in `crosscheck`, 2 config or usage
-error (including a count below 1), no closed form, or an input the library
-refuses with a `model.InputError` (e.g. the wrong ends for
-`pde --mode steady|green`, or drift that traps the mass at a closed end
-beyond double precision); `sweep` names the swept value that was
-refused.  Any other exception is a fault and keeps its traceback.  Identical
-invocations with identical seeds and worker counts produce byte-identical
-output files.
+Exit codes: 0 success, 1 failed row in `crosscheck`, 2 usage error
+(including a count below 1) or refused input.  Every refused input is a
+`model.InputError`, raised by the config parser (an unreadable file,
+unknown keys, values out of range or not finite), by a subcommand (no
+closed form, a sweep that cannot edit its field) or by the library (e.g.
+the wrong ends for `pde --mode steady|green`, or drift that traps the mass
+at a closed end beyond double precision); `sweep` names the swept value
+that was refused.  Any other exception is a fault and keeps its
+traceback.  Identical invocations with identical seeds and worker counts
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -91,10 +96,6 @@ from .model import (
     validate_problem,
 )
 from .montecarlo import McConfig
-
-
-class ConfigError(Exception):
-    pass
 
 
 _SCHEMA: Dict[str, Tuple[str, ...]] = {
@@ -127,22 +128,22 @@ def _floats(text: str) -> Tuple[float, ...]:
 def parse_config(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+        raise InputError(f"cannot read config file {path!r}")
     for section in cp.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+            raise InputError(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raise InputError(f"unknown key {key!r} in section [{section}]")
     try:
         return _build_config(cp)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
     if "domain" not in cp:
-        raise ConfigError("missing required section [domain]")
+        raise InputError("missing required section [domain]")
     dom = cp["domain"]
     length = float(dom["length"])
     diff = cp["diffusion"] if "diffusion" in cp else {}
@@ -160,7 +161,7 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
     for item in filter(str.strip, ks.get("spots", "").split(",")):
         pos, _, strength = item.partition(":")
         if not strength:
-            raise ConfigError(f"spot {item.strip()!r} must be 'position:strength'")
+            raise InputError(f"spot {item.strip()!r} must be 'position:strength'")
         spots.append((float(pos), float(strength)))
     killing = KillingMeasure(
         _floats(ks.get("breakpoints", "")), _floats(ks.get("rates", "0")), tuple(spots)
@@ -171,7 +172,7 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
     m = cp["method"] if "method" in cp else {}
     method = m.get("method", "all")
     if method not in ("analytic", "pde", "mc", "all"):
-        raise ConfigError(f"unknown method {method!r}")
+        raise InputError(f"unknown method {method!r}")
     grid = GridSpec(
         int(m.get("cells", 200)), float(m.get("dt", 1e-3)), float(m.get("t_max", 10.0))
     )
@@ -184,28 +185,8 @@ def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
 
     violations = validate_problem(model, killing, InitialCondition.point(y))
     if violations:
-        raise ConfigError("; ".join(violations))
+        raise InputError("; ".join(violations))
     return ScenarioConfig(model, killing, y, method, grid, mc, out_dir)
-
-
-# --- output helpers --------------------------------------------------------
-
-def _out_path(cfg_dir: str, args, name: str) -> str:
-    d = args.out if args.out else cfg_dir
-    os.makedirs(d, exist_ok=True)
-    return os.path.join(d, name)
-
-
-def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    crosscheck.write_rows(path, header, rows)
-    print(f"wrote {path}")
-
-
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    mc = replace(cfg.mc, workers=args.workers)
-    if args.seed is not None:
-        mc = replace(mc, seed=args.seed)
-    return replace(cfg, mc=mc)
 
 
 def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
@@ -216,7 +197,7 @@ def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
             forms = crosscheck.closed_forms(cfg.model, cfg.killing, cfg.y)
             if "p_killed" not in forms:
                 if cfg.method == "analytic":
-                    raise ConfigError("no closed-form split statistics for this scenario")
+                    raise InputError("no closed-form split statistics for this scenario")
                 continue
             stats = SplitStatistics(
                 forms["p_killed"], forms["p_absorbed"],
@@ -233,77 +214,54 @@ def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
     return rows
 
 
-# --- subcommands -----------------------------------------------------------
+# --- subcommands: each returns its (file name, header, rows) in write order
 
-def _cmd_analytic(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+Table = Tuple[str, Sequence[str], Sequence[Sequence[object]]]
+
+
+def _cmd_analytic(cfg: ScenarioConfig, args) -> List[Table]:
     forms = crosscheck.closed_forms(cfg.model, cfg.killing, cfg.y)
     if not forms:
-        raise ConfigError("no closed form applies to this scenario")
-    path = _out_path(cfg.out_dir, args, "analytic.csv")
-    _write_rows(path, ("name", "value"), list(forms.items()))
-    return 0
+        raise InputError("no closed form applies to this scenario")
+    return [("analytic.csv", ("name", "value"), list(forms.items()))]
 
 
-def _cmd_pde(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+def _cmd_pde(cfg: ScenarioConfig, args) -> List[Table]:
     if args.mode == "evolve":
         res = fpe.evolve(
             cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid, stride=args.stride
         )
         s = res.series
         rows = [(t, sv, 0.0) for t, sv in zip(s.times.tolist(), s.survival.tolist())]
-        _write_rows(
-            _out_path(cfg.out_dir, args, "survival.csv"), ("t", "survival", "stderr"), rows
-        )
-        return 0
+        return [("survival.csv", ("t", "survival", "stderr"), rows)]
     if args.mode == "steady":
         result = fpe.steady_state(cfg.model, cfg.killing, cfg.grid)
     else:
         result = fpe.green_steady(cfg.model, cfg.killing, cfg.y, cfg.grid)
     values = [(f.name, getattr(result, f.name)) for f in fields(result)]
-    _write_rows(
-        _out_path(cfg.out_dir, args, f"{args.mode}.csv"),
-        ("quantity", "value"),
-        [(name, v) for name, v in values if isinstance(v, float)],
-    )
-    return 0
+    rows = [(name, v) for name, v in values if isinstance(v, float)]
+    return [(f"{args.mode}.csv", ("quantity", "value"), rows)]
 
 
-def _cmd_mc(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+def _cmd_mc(cfg: ScenarioConfig, args) -> List[Table]:
     out = montecarlo.simulate_outcomes(cfg.model, cfg.killing, cfg.y, cfg.mc)
     times, surv, se = montecarlo.survival_curve(out, args.points)
-    _write_rows(
-        _out_path(cfg.out_dir, args, "survival.csv"),
-        ("t", "survival", "stderr"),
-        list(zip(times, surv, se)),
-    )
+    tables = [("survival.csv", ("t", "survival", "stderr"), list(zip(times, surv, se)))]
     if args.histogram and out.killed.any():
         edges, density = montecarlo.kill_location_histogram(out, cfg.model.domain.length)
-        _write_rows(
-            _out_path(cfg.out_dir, args, "histogram.csv"),
-            ("bin_left", "bin_right", "density"),
-            list(zip(edges, edges[1:], density)),
-        )
-    _write_rows(
-        _out_path(cfg.out_dir, args, "split.csv"),
-        _SPLIT_HEADER,
-        [("mc", *astuple(montecarlo.split_from_outcomes(out)))],
-    )
-    return 0
+        header = ("bin_left", "bin_right", "density")
+        tables.append(("histogram.csv", header, list(zip(edges, edges[1:], density))))
+    split = ("mc", *astuple(montecarlo.split_from_outcomes(out)))
+    return tables + [("split.csv", _SPLIT_HEADER, [split])]
 
 
 _SPLIT_HEADER = ("method", *(f.name for f in fields(SplitStatistics)))
 
 
-def _cmd_split(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+def _cmd_split(cfg: ScenarioConfig, args) -> List[Table]:
     if args.method:
         cfg = replace(cfg, method=args.method)
-    rows = [(m, *astuple(s)) for m, s in _split_rows(cfg)]
-    _write_rows(_out_path(cfg.out_dir, args, "split.csv"), _SPLIT_HEADER, rows)
-    return 0
+    return [("split.csv", _SPLIT_HEADER, [(m, *astuple(s)) for m, s in _split_rows(cfg)])]
 
 
 _SWEEPABLE = ("length", "y", "v0", "spot_position", "drift", "diffusion")
@@ -312,36 +270,31 @@ _SWEEPABLE = ("length", "y", "v0", "spot_position", "drift", "diffusion")
 def _with_param(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     model, killing, y = cfg.model, cfg.killing, cfg.y
     if param == "length":
-        model = DiffusionModel(
-            replace(model.domain, length=value), model.diffusion, model.drift
-        )
+        model = replace(model, domain=replace(model.domain, length=value))
     elif param == "y":
         y = value
     elif param == "v0":
         if killing.breakpoints:
-            raise ConfigError("v0 sweep sets one rate everywhere, so it refuses breakpoints")
+            raise InputError("v0 sweep sets one rate everywhere, so it refuses breakpoints")
         killing = replace(killing, rates=(value,))
     elif param == "spot_position":
         if len(killing.spots) != 1:
-            raise ConfigError("spot_position sweep needs exactly one spot")
+            raise InputError("spot_position sweep needs exactly one spot")
         killing = replace(killing, spots=((value, killing.spots[0][1]),))
     elif param == "drift":
-        model = DiffusionModel(model.domain, model.diffusion, value)
-    elif param == "diffusion":
-        model = DiffusionModel(model.domain, value, model.drift)
-    else:
-        raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}")
+        model = replace(model, drift=value)
+    else:  # diffusion; the parser admits only _SWEEPABLE
+        model = replace(model, diffusion=value)
     return replace(cfg, model=model, killing=killing, y=y)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+def _cmd_sweep(cfg: ScenarioConfig, args) -> List[Table]:
     try:
         values = _floats(args.values)
     except ValueError as exc:
-        raise ConfigError(f"bad --values: {exc}") from exc
+        raise InputError(f"bad --values: {exc}") from exc
     if not values:
-        raise ConfigError("--values is empty")
+        raise InputError("--values is empty")
     dom = cfg.model.domain
     steady = (dom.left.kind, dom.right.kind).count(BoundaryKind.INJECTION) == 1
     rows = []
@@ -349,7 +302,7 @@ def _cmd_sweep(args) -> int:
         try:
             sub = _with_param(cfg, args.param, v)
             if steady and args.param == "y":
-                raise ConfigError("the steady state has no start point to sweep")
+                raise InputError("the steady state has no start point to sweep")
             if steady:
                 sol = fpe.steady_state(sub.model, sub.killing, sub.grid)
                 closed = crosscheck.closed_forms(sub.model, sub.killing, sub.y)
@@ -361,14 +314,9 @@ def _cmd_sweep(args) -> int:
                 for m, s in _split_rows(sub):
                     rows.append((args.param, v, "ratio_rinf", m, s.ratio_rinf))
                     rows.append((args.param, v, "p_killed", m, s.p_killed))
-        except (ConfigError, InputError) as exc:
-            raise ConfigError(f"{args.param}={v}: {exc}") from exc
-    _write_rows(
-        _out_path(cfg.out_dir, args, "sweep.csv"),
-        ("param", "value", "observable", "method", "result"),
-        rows,
-    )
-    return 0
+        except InputError as exc:
+            raise InputError(f"{args.param}={v}: {exc}") from exc
+    return [("sweep.csv", ("param", "value", "observable", "method", "result"), rows)]
 
 
 def _cmd_crosscheck(args) -> int:
@@ -441,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma/space separated values")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("crosscheck", help="run the cross-validation scenario matrix")
-    p.set_defaults(func=_cmd_crosscheck)
+    sub.add_parser("crosscheck", help="run the cross-validation scenario matrix")
 
     return parser
 
@@ -453,10 +400,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ConfigError, InputError) as exc:
+        if args.command == "crosscheck":
+            return _cmd_crosscheck(args)
+        cfg = parse_config(args.config)
+        seed = cfg.mc.seed if args.seed is None else args.seed
+        cfg = replace(cfg, mc=replace(cfg.mc, seed=seed, workers=args.workers))
+        tables = args.func(cfg, args)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = args.out or cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    for name, header, rows in tables:
+        path = os.path.join(out, name)
+        crosscheck.write_rows(path, header, rows)
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -75,8 +75,8 @@ class GridSpec:
     def __post_init__(self):
         if self.cell_count < 8:
             raise ValueError("cell_count must be at least 8")
-        if not (self.dt > 0 and self.t_max > 0):
-            raise ValueError("dt and t_max must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
+            raise ValueError("dt and t_max must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ strengths in length/time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -151,9 +152,21 @@ def validate_problem(
     message each.  Never raises; an empty tuple means all three solver
     modules accept the problem without further errors.
     """
-    bad = []
     dom = model.domain
     L = dom.length
+    numbers = {
+        "domain length": (L,),
+        "diffusion coefficient": (model.diffusion,),
+        "drift": (model.drift,),
+        "injection flux": (dom.left.phi, dom.right.phi),
+        "killing rates": killing.rates,
+        "killing breakpoints": killing.breakpoints,
+        "spot positions": [x for x, _ in killing.spots],
+        "spot strengths": [k for _, k in killing.spots],
+    }
+    bad = [
+        f"{name} must be finite" for name, v in numbers.items() if not all(map(math.isfinite, v))
+    ]
     if not (L > 0):
         bad.append("domain length must be positive")
     if not (model.diffusion > 0):

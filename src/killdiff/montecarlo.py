@@ -101,8 +101,8 @@ class McConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be at least 1")
         if self.workers < 1:

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from killdiff import montecarlo
-from killdiff.cli import ConfigError, _write_rows, main, parse_config
-from killdiff.model import BoundaryKind, KillingMeasure
+from killdiff import crosscheck, montecarlo
+from killdiff.cli import main, parse_config
+from killdiff.fpe import GridSpec
+from killdiff.model import BoundaryKind, InputError, KillingMeasure, interval, validate_problem
+from killdiff.montecarlo import McConfig
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -74,31 +76,88 @@ def test_kind_and_v0_are_unknown_keys(tmp_path, capsys, line):
 
 def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "\n[plotting]\ncolor = red\n")
-    with pytest.raises(ConfigError, match="unknown section"):
+    with pytest.raises(InputError, match="unknown section"):
         parse_config(path)
 
 
 def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "[domain]\nlength = 1.0\nleftt = absorbing\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(InputError, match="unknown key"):
         parse_config(path)
 
 
 def test_missing_file_rejected():
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(InputError, match="cannot read"):
         parse_config("/no/such/file.ini")
 
 
 def test_invalid_problem_rejected(tmp_path):
     path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nrates = -1\n")
-    with pytest.raises(ConfigError, match="non-negative"):
+    with pytest.raises(InputError, match="non-negative"):
         parse_config(path)
 
 
 def test_malformed_spot_rejected(tmp_path):
     path = write(tmp_path, "[domain]\nlength = 1.0\n[killing]\nspots = 0.5\n")
-    with pytest.raises(ConfigError, match="position:strength"):
+    with pytest.raises(InputError, match="position:strength"):
         parse_config(path)
+
+
+def violations(model=interval(1.0), killing=KillingMeasure()):
+    return "; ".join(validate_problem(model, killing))
+
+
+def refusal(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+UNIT = "[domain]\nlength = 1.0\n"
+
+# each number a scenario states: its INI text and the library's refusal
+NON_FINITE = {
+    "length": ("[domain]\nlength = {}\n", lambda v: violations(interval(v))),
+    "d": (UNIT + "[diffusion]\nd = {}\n", lambda v: violations(interval(1.0, diffusion=v))),
+    "drift": (UNIT + "[diffusion]\ndrift = {}\n", lambda v: violations(interval(1.0, drift=v))),
+    "phi": (
+        UNIT + "right = injection\nphi = {}\n",
+        lambda v: violations(interval(1.0, right="injection", phi=v)),
+    ),
+    "rates": (
+        UNIT + "[killing]\nrates = {}\n", lambda v: violations(killing=KillingMeasure(rates=(v,)))
+    ),
+    "breakpoints": (
+        UNIT + "[killing]\nbreakpoints = {}\nrates = 1 2\n",
+        lambda v: violations(killing=KillingMeasure((v,), (1.0, 2.0))),
+    ),
+    "spot-position": (
+        UNIT + "[killing]\nspots = {}:1.0\n",
+        lambda v: violations(killing=KillingMeasure(spots=((v, 1.0),))),
+    ),
+    "spot-strength": (
+        UNIT + "[killing]\nspots = 0.5:{}\n",
+        lambda v: violations(killing=KillingMeasure(spots=((0.5, v),))),
+    ),
+    "dt": (UNIT + "[method]\ndt = {}\n", lambda v: refusal(GridSpec, 100, v, 1.0)),
+    "t_max": (UNIT + "[method]\nt_max = {}\n", lambda v: refusal(GridSpec, 100, 1e-3, v)),
+    "mc_dt": (UNIT + "[method]\nmc_dt = {}\n", lambda v: refusal(McConfig, v, 100)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", list(NON_FINITE))
+def test_non_finite_input_is_refused(tmp_path, capsys, field, value):
+    text, library = NON_FINITE[field]
+    assert "finite" in library(value)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "split", write(tmp_path, text.format(value))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
@@ -175,7 +234,7 @@ cells = 400
     assert ratio == pytest.approx(1.0 / (math.cosh(2.0) - 1.0), rel=1e-3)
 
 
-def test_write_rows_prints_each_cell_as_repr_of_a_float_or_str(tmp_path, capsys):
+def test_write_rows_writes_each_cell_as_repr_of_a_float_or_str(tmp_path):
     path = tmp_path / "rows.csv"
     rows = [
         (np.float64(1.0), 0.1, -0.0),
@@ -183,11 +242,30 @@ def test_write_rows_prints_each_cell_as_repr_of_a_float_or_str(tmp_path, capsys)
         (3, "pde", np.float64(1e-300)),
         (True, False, "x, y"),
     ]
-    _write_rows(str(path), ("a", "b", "c"), rows)
+    crosscheck.write_rows(str(path), ("a", "b", "c"), rows)
     assert path.read_bytes() == (
         b'a,b,c\n1.0,0.1,-0.0\nnan,inf,-inf\n3,pde,1e-300\n1,0,"x, y"\n'
     )
-    assert capsys.readouterr().out == f"wrote {path}\n"
+
+
+def test_mc_histogram_prints_one_wrote_line_per_file_in_order(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--seed", "5", "--out", str(out), "mc", write(tmp_path, MINIMAL), "--histogram"]
+    assert main(argv) == 0
+    names = ("survival.csv", "histogram.csv", "split.csv")
+    assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["ini-dir", "out-flag"])
+def test_output_goes_under_out_else_the_ini_dir(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, MINIMAL + "\n[output]\ndir = from_ini\n")
+    out = ["--out", "from_flag"] if flag else []
+    assert main(out + ["split", path, "--method", "pde"]) == 0
+    expected = os.path.join("from_flag" if flag else "from_ini", "split.csv")
+    assert capsys.readouterr().out == f"wrote {expected}\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [os.path.dirname(expected)]
+    assert (tmp_path / expected).read_text().startswith("method,p_killed")
 
 
 def test_pde_stride_computes_the_strided_steps_of_stride_one(tmp_path):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -619,6 +620,11 @@ def test_pool_is_replaced_in_a_forked_child():
 def test_pool_is_replaced_after_a_worker_is_killed():
     before = pool_simulation()
     os.kill(min(before), signal.SIGKILL)
+    # the executor's manager thread marks the pool broken once it sees the
+    # death; a job submitted before that could still run on the live worker
+    deadline = time.monotonic() + 10
+    while not montecarlo._pool[2]._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
     with pytest.raises(BrokenProcessPool):
         pool_simulation()
     assert montecarlo._pool is None
