@@ -15,7 +15,8 @@ Scenario configs are INI files with sections:
 that is constant between breakpoints (one more rate than breakpoints;
 default one rate, 0, and no breakpoints) plus point spots (default none).
 With no positive rate or strength it is zero killing.  Unknown sections or
-keys, and numbers that are not finite, are rejected.  All quantities are
+keys, and numbers that are not finite, are rejected.  Values are read as
+written: a `%` is a plain character, not interpolation.  All quantities are
 dimensionless; supply consistent units (d in length^2/time, rates in
 1/time, spot strengths in length/time).  `dt` and `t_max` set the
 reported times of `pde` evolution only: `split --method pde` is the exact
@@ -126,7 +127,7 @@ def _floats(text: str) -> Tuple[float, ...]:
 
 
 def parse_config(path: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if not cp.read(path):
         raise InputError(f"cannot read config file {path!r}")
     for section in cp.sections():

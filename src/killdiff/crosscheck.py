@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, fields
+from itertools import groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import analytic
@@ -86,7 +87,7 @@ class ComparisonReport:
         write_rows(path, [f.name for f in fields(Discrepancy)], map(astuple, self.discrepancies))
 
 
-# cells the csv module writes as they are: nothing to convert or quote
+# cells the csv module writes as str(v), which is repr(v), and never quotes
 _PLAIN_CELLS = frozenset((float, int))
 
 
@@ -98,19 +99,23 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]
     return, which the csv module before Python 3.13 leaves bare.  Every CSV
     file the package writes goes through here.
 
-    Only bools are converted; the csv module writes str(v) for the rest,
-    which for float and np.float64 is already repr(float(v))."""
+    Each run of rows whose cells are all float or int is written in one
+    batch of lines ",".join(map(repr, row)): the bytes the csv module
+    writes for them, without its per-cell work.  Every other row goes
+    through the csv module with its bools converted; the csv module writes
+    str(v) for the rest, which for np.float64 is already repr(float(v))."""
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
         quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         out.writerow(header)
-        for row in rows:
-            if not _PLAIN_CELLS.issuperset(map(type, row)):
+        for plain, run in groupby(rows, lambda row: _PLAIN_CELLS.issuperset(map(type, row))):
+            if plain:
+                f.write("\n".join([",".join(map(repr, row)) for row in run]) + "\n")
+                continue
+            for row in run:
                 row = [int(v) if isinstance(v, bool) else v for v in row]
-                if any(isinstance(v, str) and "\r" in v for v in row):
-                    quoted.writerow(row)
-                    continue
-            out.writerow(row)
+                crlf = any(isinstance(v, str) and "\r" in v for v in row)
+                (quoted if crlf else out).writerow(row)
 
 
 def _compare(

@@ -212,6 +212,15 @@ class _Discretization:
         """The LU factors of -A, made at the first solve."""
         return dgttrf(-self.lower, -self.diag, -self.upper)
 
+    @cached_property
+    def joined_off(self) -> np.ndarray:
+        """The off-diagonals of zI - A, -lower and -upper, for max(1, _BLOCK
+        // m) systems joined into one tridiagonal matrix by zeros, as complex
+        rows; fewer systems take a prefix of each row."""
+        off = np.zeros((2, max(1, _BLOCK // self.m), self.m), complex)
+        off[0, :, :-1], off[1, :, :-1] = -self.lower, -self.upper
+        return off.reshape(2, -1)[:, :-1]
+
     def solve(self, rhs: np.ndarray) -> Tuple[np.ndarray, list]:
         """u = (-A)^-1 rhs on the unknown nodes, from the factors neg_lu,
         and weights @ u.  Refused when kill plus absorption misses the mass
@@ -319,16 +328,21 @@ def _contour(
 def _resolvent(disc: _Discretization, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
     """c.(zI - A)^-1 (u0 + source / z) for each z (3 x z.size).  Each LAPACK
     gtsv call solves up to _BLOCK unknowns of these systems as the blocks
-    of one tridiagonal matrix, joined by zeros that pivoting never crosses."""
+    of one tridiagonal matrix, joined by zeros that pivoting never crosses.
+    The joined off-diagonals are built once per operator (`joined_off`), and
+    each block is solved in place, over its diagonal and right-hand side."""
     per = min(z.size, max(1, _BLOCK // disc.m))
-    off = np.zeros((2, per, disc.m))
-    off[0, :, :-1], off[1, :, :-1] = -disc.lower, -disc.upper
-    x = u0 + disc.source / z[:, None]
+    lower, upper = disc.joined_off
+    x = np.empty((z.size, disc.m), complex)
+    x[:] = u0
+    if disc.source.any():
+        x += disc.source / z[:, None]
     for i in range(0, z.size, per):
-        zi = z[i : i + per, None]
-        lower, upper = off[:, : zi.size].reshape(2, -1)[:, :-1]
-        xi, info = zgtsv(lower, (zi - disc.diag).ravel(), upper, x[i : i + per].ravel())[3:]
-        x[i : i + per] = math.nan if info else xi.reshape(zi.size, disc.m)  # nan: an exactly zero pivot
+        zi, xi = z[i : i + per, None], x[i : i + per]
+        k = xi.size - 1
+        d = (zi - disc.diag).ravel()
+        if zgtsv(lower[:k], d, upper[:k], xi.reshape(-1), overwrite_d=1, overwrite_b=1)[-1]:
+            xi[:] = math.nan  # an exactly zero pivot
     # real products: OpenBLAS's complex one took up to 1000 times as long
     return disc.weights @ x.real.T + 1j * (disc.weights @ x.imag.T)
 

@@ -102,7 +102,7 @@ class McConfig:
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+            raise ValueError("the MC step (mc_dt) must be positive and finite")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be at least 1")
         if self.workers < 1:

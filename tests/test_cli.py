@@ -156,8 +156,21 @@ def test_non_finite_input_is_refused(tmp_path, capsys, field, value):
     assert main(["--out", str(out), "split", write(tmp_path, text.format(value))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+    if field == "mc_dt":
+        assert "MC step (mc_dt)" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_percent_sign_is_read_as_written(tmp_path, capsys, monkeypatch):
+    # no interpolation: a % is refused as a number and kept in a path
+    assert main(["split", write(tmp_path, "[domain]\nlength = 1%\n")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, MINIMAL + "\n[output]\ndir = 100%done\n")
+    assert main(["split", path, "--method", "pde"]) == 0
+    assert (tmp_path / "100%done" / "split.csv").read_text().startswith("method,p_killed")
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
@@ -242,9 +255,19 @@ def test_write_rows_writes_each_cell_as_repr_of_a_float_or_str(tmp_path):
         (3, "pde", np.float64(1e-300)),
         (True, False, "x, y"),
     ]
+    # runs of number rows, joined as lines, before, between and after the
+    # rows the csv module writes
+    numbers = [(0.1, -0.0, 3), (1e-300, math.nan, -math.inf), (2.5e16, 7, 1 / 3)]
+    rows += numbers + rows[:1] + numbers[:1] + [(0.5, "a\rb", 1.0)] + numbers
     crosscheck.write_rows(str(path), ("a", "b", "c"), rows)
+    numbers_csv = b"0.1,-0.0,3\n1e-300,nan,-inf\n2.5e+16,7,0.3333333333333333\n"
     assert path.read_bytes() == (
         b'a,b,c\n1.0,0.1,-0.0\nnan,inf,-inf\n3,pde,1e-300\n1,0,"x, y"\n'
+        + numbers_csv
+        + b"1.0,0.1,-0.0\n"
+        + numbers_csv[:11]
+        + b'0.5,"a\rb",1.0\n'
+        + numbers_csv
     )
 
 

@@ -347,6 +347,31 @@ def test_an_exactly_singular_system_is_refused():
         disc.solve(disc.initial_vector(InitialCondition.point(0.5)))
 
 
+# 199 and 200 unknowns: _BLOCK // m = 20 systems a block, so 25 nodes end in
+# a partial block of 5; 98 unknowns take 41 a block, so 26 and 34 points fit
+# one block and 50 and 66 end in a partial one, all from one operator
+@pytest.mark.parametrize(
+    "right, cells, rules",
+    [("absorbing", 200, (24,)), ("injection", 200, (24,)), ("absorbing", 99, (24, 32, 48, 64))],
+    ids=["partial-block", "source", "block-sizes"],
+)
+def test_resolvent_is_a_dense_solve_of_each_node(right, cells, rules):
+    model = interval(1.0, "absorbing", right, drift=3.0, phi=0.5)
+    disc = fpe._Discretization(model, KillingMeasure.dirac([(0.43, 2.0)]), cells)
+    assert disc.source.any() == (right == "injection")
+    u0 = disc.initial_vector(InitialCondition.point(0.3))
+    A = dense(disc.lower, disc.diag, disc.upper)
+    for nodes in rules:
+        u = fpe._STEP / nodes * np.arange(nodes + 1)  # `_contour`'s points at t0 = 0.01
+        z = fpe._SHIFT * nodes / fpe._WINDOW / 0.01 * (1 + 1j * u) ** 2
+        assert z.size % (fpe._BLOCK // disc.m) or z.size < fpe._BLOCK // disc.m
+        got = fpe._resolvent(disc, u0, z)
+        expected = np.array(
+            [disc.weights @ np.linalg.solve(zk * np.eye(disc.m) - A, u0 + disc.source / zk) for zk in z]
+        ).T
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=1e-13 * np.abs(expected).max())
+
+
 def exponential_reference(model, killing, ic, grid, steps):
     """The semi-discrete solution u(t) = e^(At) u0 + int_0^t e^(As) source ds
     on all nodes at t = n dt for each n of the sorted steps: dense expm of
