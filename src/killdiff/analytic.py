@@ -19,17 +19,6 @@ from .numerics import SERIES_TAIL_TOLERANCE, AccuracyError, sum_with_tail_bound
 PI = math.pi
 
 
-def free_kernel_const_killing(x: float, y: float, t: float, D: float, v0: float) -> float:
-    """Transition density on the line under a constant killing rate v0."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if D <= 0:
-        raise ValueError("D must be positive")
-    if v0 < 0:
-        raise ValueError("v0 must be non-negative")
-    return math.exp(-v0 * t - (x - y) ** 2 / (4 * D * t)) / (2 * math.sqrt(PI * D * t))
-
-
 def kill_site_density_const(x: float, y: float, D: float, v0: float) -> float:
     """Density of the eventual kill position on the line, constant rate v0."""
     if D <= 0:

@@ -15,13 +15,13 @@ Scenario configs are INI files with sections:
 that is constant between breakpoints (one more rate than breakpoints;
 default one rate, 0, and no breakpoints) plus point spots (default none).
 With no positive rate or strength it is zero killing.  Unknown sections or
-keys, and numbers that are not finite, are rejected.  Values are read as
-written: a `%` is a plain character, not interpolation.  All quantities are
-dimensionless; supply consistent units (d in length^2/time, rates in
-1/time, spot strengths in length/time).  `dt` and `t_max` set the
-reported times of `pde` evolution only: `split --method pde` is the exact
-infinite-horizon integral of the semi-discrete solution and depends on
-`cells` alone.
+keys, and numbers that are not finite, are rejected.  The file is read as
+UTF-8, and values as written: a `%` is a plain character, not
+interpolation.  All quantities are dimensionless; supply consistent units
+(d in length^2/time, rates in 1/time, spot strengths in length/time).  `dt`
+and `t_max` set the reported times of `pde` evolution only: `split --method
+pde` is the exact infinite-horizon integral of the semi-discrete solution
+and depends on `cells` alone.
 
 The MC worker count is `--workers` (a positive integer, default 1).
 
@@ -62,14 +62,14 @@ parses its own arguments against the one parser `build_parser` builds.
 
 Exit codes: 0 success, 1 failed row in `crosscheck`, 2 usage error
 (including a count below 1) or refused input.  Every refused input is a
-`model.InputError`, raised by the config parser (an unreadable file,
-unknown keys, values out of range or not finite), by a subcommand (no
+`model.InputError`, raised by the config parser (an unreadable or malformed
+file, unknown keys, values out of range or not finite), by a subcommand (no
 closed form, a sweep that cannot edit its field) or by the library (e.g.
 the wrong ends for `pde --mode steady|green`, or drift that traps the mass
 at a closed end beyond double precision); `sweep` names the swept value
-that was refused.  Any other exception is a fault and keeps its
-traceback.  Identical invocations with identical seeds and worker counts
-produce byte-identical output files.
+that was refused.  Any other exception is a fault and keeps its traceback.
+Identical invocations with identical seeds and worker counts produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ from .model import (
     SplitStatistics,
     interval,
     require_valid,
-    validate_problem,
 )
 from .montecarlo import McConfig
 
@@ -128,66 +127,61 @@ def _floats(text: str) -> Tuple[float, ...]:
 
 def parse_config(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
-        raise InputError(f"cannot read config file {path!r}")
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise InputError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise InputError(f"unknown key {key!r} in section [{section}]")
     try:
+        if not cp.read(path, encoding="utf-8"):
+            raise InputError(f"cannot read config file {path!r}")
+        for section in cp.sections():
+            if section not in _SCHEMA:
+                raise InputError(f"unknown section [{section}]")
+            for key in cp[section]:
+                if key not in _SCHEMA[section]:
+                    raise InputError(f"unknown key {key!r} in section [{section}]")
         return _build_config(cp)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, configparser.Error) as exc:  # a UnicodeDecodeError is a ValueError
         raise InputError(str(exc)) from exc
 
 
 def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
     if "domain" not in cp:
         raise InputError("missing required section [domain]")
-    dom = cp["domain"]
-    length = float(dom["length"])
-    diff = cp["diffusion"] if "diffusion" in cp else {}
+    length = cp.getfloat("domain", "length")
     model = interval(
         length,
-        dom.get("left", "absorbing"),
-        dom.get("right", "absorbing"),
-        diffusion=float(diff.get("d", 1.0)),
-        drift=float(diff.get("drift", 0.0)),
-        phi=float(dom.get("phi", 0.0)),
+        cp.get("domain", "left", fallback="absorbing"),
+        cp.get("domain", "right", fallback="absorbing"),
+        diffusion=cp.getfloat("diffusion", "d", fallback=1.0),
+        drift=cp.getfloat("diffusion", "drift", fallback=0.0),
+        phi=cp.getfloat("domain", "phi", fallback=0.0),
     )
 
-    ks = cp["killing"] if "killing" in cp else {}
     spots = []
-    for item in filter(str.strip, ks.get("spots", "").split(",")):
+    for item in filter(str.strip, cp.get("killing", "spots", fallback="").split(",")):
         pos, _, strength = item.partition(":")
         if not strength:
             raise InputError(f"spot {item.strip()!r} must be 'position:strength'")
         spots.append((float(pos), float(strength)))
     killing = KillingMeasure(
-        _floats(ks.get("breakpoints", "")), _floats(ks.get("rates", "0")), tuple(spots)
+        _floats(cp.get("killing", "breakpoints", fallback="")),
+        _floats(cp.get("killing", "rates", fallback="0")),
+        tuple(spots),
     )
+    y = cp.getfloat("initial", "y", fallback=length / 2)
 
-    y = float(cp["initial"]["y"]) if "initial" in cp and "y" in cp["initial"] else length / 2
-
-    m = cp["method"] if "method" in cp else {}
-    method = m.get("method", "all")
+    method = cp.get("method", "method", fallback="all")
     if method not in ("analytic", "pde", "mc", "all"):
         raise InputError(f"unknown method {method!r}")
     grid = GridSpec(
-        int(m.get("cells", 200)), float(m.get("dt", 1e-3)), float(m.get("t_max", 10.0))
+        cp.getint("method", "cells", fallback=200),
+        cp.getfloat("method", "dt", fallback=1e-3),
+        cp.getfloat("method", "t_max", fallback=10.0),
     )
     mc = McConfig(
-        dt=float(m.get("mc_dt", 1e-3)),
-        n_trajectories=int(m.get("mc_n", 10000)),
-        seed=int(m.get("mc_seed", 0)),
+        dt=cp.getfloat("method", "mc_dt", fallback=1e-3),
+        n_trajectories=cp.getint("method", "mc_n", fallback=10000),
+        seed=cp.getint("method", "mc_seed", fallback=0),
     )
-    out_dir = cp["output"]["dir"] if "output" in cp and "dir" in cp["output"] else "."
-
-    violations = validate_problem(model, killing, InitialCondition.point(y))
-    if violations:
-        raise InputError("; ".join(violations))
-    return ScenarioConfig(model, killing, y, method, grid, mc, out_dir)
+    require_valid(model, killing, InitialCondition.point(y))
+    return ScenarioConfig(model, killing, y, method, grid, mc, cp.get("output", "dir", fallback="."))
 
 
 def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:

@@ -11,6 +11,8 @@ from dataclasses import astuple, dataclass, fields
 from itertools import groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import analytic
 from .analytic import PI, UnitScaling
 from .fpe import GridSpec, green_steady, split_statistics, steady_state
@@ -22,7 +24,7 @@ from .model import (
     interval,
 )
 from .montecarlo import McConfig, simulate_rs, simulate_split
-from .numerics import derivative_at_zero
+from .numerics import AccuracyError
 
 
 @dataclass(frozen=True)
@@ -556,7 +558,11 @@ def adjudicate_conditional_mfpt(
     tol: float = 1e-4,
 ) -> MfptVerdict:
     """Decide which sign combination of (alpha, beta) reproduces the
-    Laplace-derivative oracle for the conditional mean kill time."""
+    Laplace-derivative oracle for the conditional mean kill time: minus the
+    one-sided q-derivative at 0 of the log kill transform, by SciPy's
+    `derivative` (imported here, so `import killdiff` does not load it)."""
+    from scipy.differentiate import derivative
+
     if points is None:
         points = [
             (x1, y, V)
@@ -577,8 +583,10 @@ def adjudicate_conditional_mfpt(
             g = analytic.green_laplace_closed(x1, y, q)
             return math.log(g / (1 + V * analytic.green_laplace_closed(x1, x1, q)))
 
-        d, _ = derivative_at_zero(log_kill_transform, h0=0.02, levels=9)
-        oracle = -d
+        d = derivative(np.vectorize(log_kill_transform), 0.0, step_direction=1, initial_step=0.02)
+        if not d.success:
+            raise AccuracyError(f"the q-derivative at x1={x1:.4g}, y={y:.4g}, V={V:.4g} did not converge")
+        oracle = -float(d.df)
         res = analytic.conditional_mean_kill_time_dirac(y, x1, V)
         values = {name: f(res.alpha, res.beta) for name, f in combos.items()}
         for name, v in values.items():

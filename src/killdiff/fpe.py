@@ -17,7 +17,8 @@ checks it (`_Discretization.solve`).
 reported time on its own, exact in time: the inverse Laplace transform of
 c.(zI - A)^-1 (u0 + source/z) by the trapezoid rule on a parabolic contour,
 one complex tridiagonal solve per node, with no eigenproblem and no step;
-where its time windows meet, their difference estimates the error.
+where its time windows meet, their difference estimates the error.  The
+windows and their node counts come from the grid alone, not the stride.
 `decay_rate` is the top eigenvalue of the symmetric form S A S^-1, S
 diagonal.  `split_statistics` is (-A)^-1 u0 and A^-2 u0, the time integrals
 of e^(At) u0 and t e^(At) u0: two solves with one factorization of -A, by
@@ -64,6 +65,21 @@ _BALANCE_BOUND, _BALANCE_ROUNDOFF = 1e-8, 16.0
 # decay rates below this times eps |A|_inf are refused: the bisection's
 # absolute error, about eps |A|, would be over 1% of them
 _DECAY_RESOLUTION = 100.0
+
+
+def _rule(nodes: int) -> tuple:
+    """z t0 at the nodes k >= 0, their weights and e^(z t0 s) at the window's
+    ends s = 1, _WINDOW: z t0 = mu t0 (1 + iu)^2 and h/(2 pi i) dz/du t0 =
+    (h mu t0 / pi)(1 + iu), doubled for the conjugate node at -k but at 0."""
+    h, mu_t0 = _STEP / nodes, _SHIFT * nodes / _WINDOW
+    u = h * np.arange(nodes + 1)
+    zt0, weight = mu_t0 * (1 + 1j * u) ** 2, (2 * h * mu_t0 / math.pi) * (1 + 1j * u)
+    weight[0] /= 2
+    return zt0, weight, np.exp(np.outer(zt0, (1, _WINDOW)))
+
+
+# one rule per N of _NODES, read by the level a window has reached
+_RULES = tuple(_rule(nodes) for nodes in _NODES)
 
 
 @dataclass(frozen=True)
@@ -255,7 +271,7 @@ def evolve(
     """Survival, kill rate and absorbed flux of u' = A u + source from u0 at
     steps 0, stride, 2 stride, ... up to the last step, and an estimate of
     their error.  Each time after 0 is summed on its own (`_contour`), exact
-    in time and over the same window at every stride."""
+    in time, over the same window and node count at every stride."""
     require_valid(model, killing, ic)
     if stride < 1 or stride != int(stride):
         raise InputError(f"stride must be a positive integer, got {stride!r}")
@@ -276,35 +292,30 @@ def _contour(
     of one stride in order, and the largest miss where two windows meet.
 
     Each is (1/2 pi i) int e^(zt) c.(zI - A)^-1 (u0 + source / z) dz, summed
-    over each window [t0, _WINDOW t0], t0 = dt _WINDOW^j, that holds a
-    reported time and the one below them; the node at -k is the conjugate of
-    the node at k.  Where windows meet, their difference, a rate's times t,
-    estimates the error of both; the two take the next N of _NODES until it
-    is within (_CONTOUR_TOL + eps |A| t) max S, or the problem is refused."""
+    over window w, [t0, _WINDOW t0] with t0 = dt _WINDOW^(w - 1), that holds
+    it; the node at -k is the conjugate of the node at k.  The chain of
+    windows runs from t0 = dt / _WINDOW to the one holding the last step at
+    every stride, so the windows and their node counts depend on the
+    operator, dt and the last step alone.  Where windows meet, their
+    difference, a rate's times t, estimates the error of both; the two take
+    the next N of _NODES until it is within (_CONTOUR_TOL + eps |A| t)
+    max S, or the problem is refused."""
     obs = np.empty((3, steps.size))
     if not steps.size:
         return obs, 0.0
-    # window j holds the steps in [_WINDOW^j, _WINDOW^(j+1)); the edges run past the last step
-    edges = _WINDOW ** np.arange(int(math.log(steps[-1], _WINDOW)) + 3)
+    # window w holds the steps in [edges[w], edges[w + 1]); the edges run past the last step
+    edges = float(_WINDOW) ** np.arange(-1, int(math.log(steps[-1], _WINDOW)) + 3)
     cuts = np.searchsorted(steps, edges)
-    first, last = (np.searchsorted(edges, steps[[0, -1]], side="right") - 1).tolist()
-    meet = dt * edges[first : last + 1]
-    level, todo = np.zeros(last - first + 2, int), range(last - first + 2)
-    ends, rules = np.empty((level.size, 3, 2)), {}  # window first - 1 + w at t0, _WINDOW t0
+    count = int(np.searchsorted(edges, steps[-1], side="right"))
+    meet = dt * edges[1:count]
+    level, todo = np.zeros(count, int), range(count)
+    ends = np.empty((count, 3, 2))  # window w at t0, _WINDOW t0
     while True:
         for w in todo:
-            j, nodes = first - 1 + w, _NODES[level[w]]
-            if nodes not in rules:
-                # z t0 = mu t0 (1 + iu)^2 and h/(2 pi i) dz/du t0 = (h mu t0 / pi)(1 + iu)
-                h, mu_t0 = _STEP / nodes, _SHIFT * nodes / _WINDOW
-                u = h * np.arange(nodes + 1)
-                zt0, weight = mu_t0 * (1 + 1j * u) ** 2, (2 * h * mu_t0 / math.pi) * (1 + 1j * u)
-                weight[0] /= 2
-                rules[nodes] = zt0, weight, np.exp(np.outer(zt0, (1, _WINDOW)))
-            (zt0, weight, at_ends), t0 = rules[nodes], dt * float(_WINDOW) ** j
+            (zt0, weight, at_ends), t0 = _RULES[level[w]], dt * edges[w]
             g = weight / t0 * _resolvent(disc, u0, zt0 / t0)
-            if w:
-                lo, hi = cuts[j], cuts[j + 1]
+            lo, hi = cuts[w], cuts[w + 1]
+            if hi > lo:
                 obs[:, lo:hi] = _sums(zt0, g, steps[lo] * dt / t0, steps[0] * dt / t0, hi - lo)
             ends[w] = g.real @ at_ends.real - g.imag @ at_ends.imag
         miss = np.abs(ends[:-1, :, 1] - ends[1:, :, 0])

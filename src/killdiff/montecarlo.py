@@ -477,6 +477,7 @@ def survival_curve(
     whole numbers, so round-off cannot move an event across a point."""
     steps = np.rint(out.time / out.dt).astype(np.int64)
     last = int(steps.max())
+    points = min(points, last)  # at points >= last, ceil(last i / points) covers 1..last
     at = np.unique(-(-last * np.arange(1, points + 1) // points))  # ceil(last i / points)
     n = out.n
     s = (n - np.cumsum(np.bincount(steps))[at]) / n  # n minus the events by step k

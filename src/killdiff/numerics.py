@@ -1,9 +1,8 @@
-"""Shared numerical kernels: bounded series summation and one-sided
-differentiation at zero."""
+"""Shared numerical kernels: series summation to a certified tail bound,
+and the error raised when a tolerance cannot be certified."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -46,31 +45,3 @@ def sum_with_tail_bound(
         f"tolerance {SERIES_TAIL_TOLERANCE:.3g}"
     )
 
-
-def derivative_at_zero(
-    f: Callable[[float], float], h0: float = 0.05, levels: int = 10
-) -> Tuple[float, float]:
-    """One-sided derivative f'(0+) by Richardson extrapolation of forward
-    differences at the steps h0, h0/2, h0/4, ... (`levels` of them).
-
-    Only evaluates f at 0 and at positive arguments.  Returns (derivative,
-    error estimate); raises AccuracyError when the extrapolation table does
-    not settle.
-    """
-    hs = [h0 * 0.5**k for k in range(levels)]
-    f0 = f(0.0)
-    col = [(f(h) - f0) / h for h in hs]
-    best = col[-1]
-    best_err = math.inf
-    j = 0
-    while len(col) > 1:
-        j += 1
-        r = 0.5**j
-        col = [(col[i + 1] - r * col[i]) / (1.0 - r) for i in range(len(col) - 1)]
-        err = abs(col[-1] - best)
-        if err < best_err:
-            best_err = err
-            best = col[-1]
-    if not math.isfinite(best) or not math.isfinite(best_err):
-        raise AccuracyError("Richardson extrapolation did not converge")
-    return best, best_err

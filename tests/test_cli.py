@@ -173,6 +173,25 @@ def test_a_percent_sign_is_read_as_written(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "100%done" / "split.csv").read_text().startswith("method,p_killed")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"length = 1.0\n[domain]\n",
+        b"[domain]\nlength = 1.0\nlength = 2.0\n",
+        b"[domain]\nlength = 1.0\n[domain]\nleft = absorbing\n",
+        b"[domain]\nlength\n",
+        b"[domain]\nlength = 1.0\nleft = absorbing\xff\n",
+    ],
+    ids=["key-before-section", "repeated-key", "repeated-section", "no-equals", "not-utf8"],
+)
+def test_a_malformed_file_is_refused(tmp_path, capsys, text):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(text)
+    assert main(["split", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
 def test_shipped_scenarios_parse(name):
     cfg = parse_config(os.path.join(SCENARIOS, name))

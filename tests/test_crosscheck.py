@@ -1,16 +1,21 @@
 import csv
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from killdiff import crosscheck, montecarlo
+from killdiff import analytic, crosscheck, montecarlo
 from killdiff.analytic import PI
 from killdiff.crosscheck import Scenario, default_matrix, run_matrix
 from killdiff.fpe import GridSpec, split_statistics
 from killdiff.model import InitialCondition, InputError, KillingMeasure, interval, validate_problem
 from killdiff.montecarlo import McConfig
+from killdiff.numerics import AccuracyError
 
 
 def small_scenarios(seed=0):
@@ -190,6 +195,23 @@ def test_adjudication_inconclusive_on_empty_margin():
         points=[(PI / 2, PI / 2, 0.0), (PI / 2, PI / 2, 1.0)]
     )
     assert verdict.sign_combination == "-(alpha+beta)"
+
+
+def test_adjudication_refuses_an_oracle_that_does_not_converge(monkeypatch):
+    # log g = sqrt(q) has no one-sided derivative at 0
+    monkeypatch.setattr(analytic, "green_laplace_closed", lambda x, y, q: math.exp(math.sqrt(q)))
+    with pytest.raises(AccuracyError):
+        crosscheck.adjudicate_conditional_mfpt(points=[(PI / 2, PI / 2, 0.0)])
+
+
+def test_import_killdiff_does_not_load_the_derivative():
+    src = os.path.dirname(os.path.dirname(crosscheck.__file__))
+    code = "import sys, killdiff; sys.exit('scipy.differentiate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_analytic_split_dirac_requires_single_spot():

@@ -430,8 +430,8 @@ def test_evolve_is_the_exponential_of_the_operator(ini):
 
 @pytest.mark.parametrize("ini", DECAYING + ("steady_uniform",))
 def test_stride_reports_every_stride_th_step(ini):
-    # each reported time is summed over the same window at every stride,
-    # on the same nodes unless one run raised N there
+    # each reported time is summed over the same window and nodes at every
+    # stride
     cfg = parse_config(os.path.join(SCENARIOS, f"{ini}.ini"))
     args = (cfg.model, cfg.killing, InitialCondition.point(cfg.y), cfg.grid)
     dt, n_steps = cfg.grid.dt, round(cfg.grid.t_max / cfg.grid.dt)
@@ -443,6 +443,22 @@ def test_stride_reports_every_stride_th_step(ini):
             got, sliced = getattr(res.series, q), getattr(every.series, q)[::stride]
             atol = 1e-12 * max(1.0, np.abs(sliced).max())
             np.testing.assert_allclose(got, sliced, rtol=0, atol=atol, err_msg=q)
+
+
+def test_stride_reports_every_stride_th_step_at_strong_drift():
+    # drift 60 raises N in some windows; every stride sums the same chain
+    # of windows, from dt / 4 up, so each raises N in the same ones
+    args = (
+        interval(1.0, drift=60.0), KillingMeasure.uniform(1.0), InitialCondition.point(0.2),
+        GridSpec(400, 1e-3, 1.0),
+    )
+    every = fpe.evolve(*args)
+    for stride in (7, 10):
+        res = fpe.evolve(*args, stride=stride)
+        for q in ("survival", "kill_rate", "boundary_flux"):
+            got, sliced = getattr(res.series, q), getattr(every.series, q)[::stride]
+            atol = 1e-12 * max(1.0, np.abs(sliced).max())
+            np.testing.assert_allclose(got, sliced, rtol=0, atol=atol, err_msg=f"{q} at {stride}")
 
 
 @pytest.mark.parametrize("cells, dt", [(200, 0.05), (200, 0.01), (200, 1e-3), (800, 0.5), (3200, 0.05)])

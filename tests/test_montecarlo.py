@@ -165,6 +165,15 @@ def test_survival_curve_takes_at_most_one_point_per_step():
     assert s.tolist() == [0.75, 0.5, 0.0]
 
 
+def test_survival_curve_allocates_no_more_points_than_steps():
+    # 10**13 candidate points would take 73 TiB; at most one per step are kept
+    out = montecarlo.simulate_outcomes(interval(2.0), KillingMeasure.uniform(1.0), 0.7, cfg())
+    last = round(out.time.max() / out.dt)
+    huge, every = montecarlo.survival_curve(out, 10**13), montecarlo.survival_curve(out, last)
+    assert all(np.array_equal(a, b) for a, b in zip(huge, every))
+    assert huge[0].size == last
+
+
 @given(
     steps=st.lists(st.integers(1, 60), min_size=1, max_size=300),
     points=st.integers(1, 100),
