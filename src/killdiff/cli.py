@@ -14,14 +14,14 @@ Scenario configs are INI files with sections:
 `[killing]` states the one killing measure, `model.KillingMeasure`: a rate
 that is constant between breakpoints (one more rate than breakpoints;
 default one rate, 0, and no breakpoints) plus point spots (default none).
-With no positive rate or strength it is zero killing.  Unknown sections or
-keys, and numbers that are not finite, are rejected.  The file is read as
-UTF-8, and values as written: a `%` is a plain character, not
-interpolation.  All quantities are dimensionless; supply consistent units
-(d in length^2/time, rates in 1/time, spot strengths in length/time).  `dt`
-and `t_max` set the reported times of `pde` evolution only: `split --method
-pde` is the exact infinite-horizon integral of the semi-discrete solution
-and depends on `cells` alone.
+With no positive rate or strength it is zero killing.  Unknown sections
+(`[DEFAULT]` among them) or keys, and numbers that are not finite, are
+rejected.  The file is read as UTF-8, and values as written: a `%` is a
+plain character, not interpolation.  All quantities are dimensionless;
+supply consistent units (d in length^2/time, rates in 1/time, spot
+strengths in length/time).  `dt` and `t_max` set the reported times of
+`pde` evolution only: `split --method pde` is the exact infinite-horizon
+integral of the semi-discrete solution and depends on `cells` alone.
 
 The MC worker count is `--workers` (a positive integer, default 1).
 
@@ -126,7 +126,9 @@ def _floats(text: str) -> Tuple[float, ...]:
 
 
 def parse_config(path: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so a [DEFAULT] section is an
+    # ordinary one, refused as unknown like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         if not cp.read(path, encoding="utf-8"):
             raise InputError(f"cannot read config file {path!r}")

@@ -55,15 +55,31 @@ which runs in the calling process.
 Cost of a step.  A worker moves all its live trajectories one step per loop
 pass: a normal per trajectory, a uniform per trajectory for the ends and
 one for the killing, and a fixed number of whole-array NumPy calls written
-into buffers allocated once per worker.  The crossing times, kill times and
-kill positions are computed only on the few trajectories with an event.
-At about 700 live trajectories each call's fixed cost weighs as much as its
-arithmetic, so a trajectory-step costs about twice the plain Euler step
-with end checks at the step's end (158 vs 77 raw ns on a shared 2-core
-host, `bench/run.py --workload matrix --trace 1`); the exact decisions and
-the midpoint estimator pay for it by allowing steps 20-80 times larger at
-the same accuracy (0.88 million trajectory-steps on the crosscheck matrix
-instead of 63 million).
+into buffers allocated once per worker.  The exact laws run only where they
+can change a decision, behind two screens that are conservative in floating
+point, so every draw and decision is the one the full laws give:
+
+- an absorbing end at least sqrt(746 D dt) from both ends of every live
+  step is hit with probability exp(-746) = 0.0, so its law is skipped while
+  the range of this step's and the last step's ends stays that far from it
+  (the exit uniforms are still drawn).  Only an interval longer than that
+  reach tests the range;
+- a spot's kill probability is at most its hit factor times
+  (k/2) sqrt(pi dt/D) erfcx(z0) (1 + 1e-9), z0 = k dt/(2 sqrt(D dt)), since
+  erfcx decreases; a step whose kill uniform exceeds that bound (several
+  sources combine their bounds as their probabilities) is not killed, and
+  erfcx runs on the other steps alone.
+
+The crossing times, kill times and kill positions are computed only on the
+few trajectories with an event.  At about 700 live trajectories each call's
+fixed cost weighs as much as its arithmetic: a trajectory-step costs 115 ns
+on the crosscheck matrix (131 without the screens; a shared 2-core host,
+`bench/run.py --workload matrix --trace 1`), and about 45 ns on
+`scenarios/constant_killing_line.ini` (100k trajectories, one worker), of
+which the normal and the two uniforms take about 36.  The exact decisions
+and the midpoint estimator pay for it by allowing steps 20-80 times larger
+at the same accuracy (0.88 million trajectory-steps on the crosscheck
+matrix instead of 63 million).
 """
 
 from __future__ import annotations
@@ -144,24 +160,6 @@ def _hit_probability(d0, d1, D: float, dt: float, out=None) -> np.ndarray:
     return np.exp(q, out=q)
 
 
-def _spot_kill_probability(x0, x1, xs: float, k: float, D: float, dt: float) -> np.ndarray:
-    """Probability that a spot at xs of strength k kills the Brownian bridge
-    from x0 to x1 over dt: E[1 - exp(-k L)] for its local time L at xs,
-    from the bridge's local-time law."""
-    from scipy.special import erfcx
-
-    a = np.subtract(x0, xs)
-    b = np.subtract(x1, xs)
-    p = _hit_probability(a, b, D, dt)
-    np.abs(a, out=a)
-    a += np.abs(b, out=b)
-    a += k * dt
-    a *= 0.5 / math.sqrt(D * dt)
-    p *= erfcx(a, out=a)
-    p *= 0.5 * k * math.sqrt(math.pi * dt / D)
-    return p
-
-
 def _crossing_time(rng: np.random.Generator, d0, d1, D: float, dt: float) -> np.ndarray:
     """First time, within a step dt, that a Brownian bridge reaches a point
     at distance d0 > 0 from its start and signed distance d1 from its end,
@@ -182,6 +180,60 @@ class _KillLaw(NamedTuple):
     # (x0, x1, u) -> (in-step kill time, kill site) of the steps killed with
     # uniform u; a NaN site marks a rate kill, at a bridge point
     locate: Callable
+    # (x0, x1) -> an upper bound on the probability, cheaper to compute; None
+    # where the probability is as cheap
+    bound: Optional[Callable] = None
+
+    def kills(self, x0, x1, u) -> np.ndarray:
+        """Whether each step is killed, u < probability.  A step with u above
+        the bound is not; the probability is computed for the others only."""
+        if self.bound is None:
+            return u < self.probability(x0, x1)
+        killed = u <= self.bound(x0, x1)
+        c = killed.nonzero()[0]
+        if c.size:
+            killed[c] = u[c] < self.probability(x0[c], x1[c])
+        return killed
+
+
+def _spot_law(xs: float, k: float, D: float, dt: float) -> _KillLaw:
+    """The kill law of a spot at xs of strength k for the Brownian bridge
+    from x0 to x1 over dt: E[1 - exp(-k L)] for its local time L at xs,
+    from the bridge's local-time law.
+
+    Its bound replaces erfcx(z), z >= z0 = k dt / (2 sqrt(D dt)), by
+    erfcx(z0) (1 + 1e-9), erfcx being decreasing, and multiplies in the
+    probability's own order: floating-point rounding is monotone, so the
+    bound is at least the probability as computed, element by element."""
+    from scipy.special import erfcx
+
+    scale = 0.5 / math.sqrt(D * dt)
+    factor = 0.5 * k * math.sqrt(math.pi * dt / D)
+    top = float(erfcx(k * dt * scale)) * (1 + 1e-9)
+
+    def probability(x0, x1):
+        a = np.subtract(x0, xs)
+        b = np.subtract(x1, xs)
+        p = _hit_probability(a, b, D, dt)
+        np.abs(a, out=a)
+        a += np.abs(b, out=b)
+        a += k * dt
+        a *= scale
+        p *= erfcx(a, out=a)
+        p *= factor
+        return p
+
+    def bound(x0, x1):
+        a = np.subtract(x0, xs)
+        p = _hit_probability(a, np.subtract(x1, xs), D, dt, out=a)
+        p *= top
+        p *= factor
+        return p
+
+    def locate(x0, x1, u):
+        return np.full(np.size(u), dt / 2), np.full(np.size(u), xs)
+
+    return _KillLaw(probability, locate, bound)
 
 
 def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw]:
@@ -212,11 +264,7 @@ def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw
 
     rated = bool((rates > 0).any())
     sources = [_KillLaw(probability, rate_kill)] * rated + [
-        _KillLaw(
-            lambda x0, x1, xs=xs, k=k: _spot_kill_probability(x0, x1, xs, k, D, dt),
-            lambda x0, x1, u, xs=xs: (np.full(np.size(u), dt / 2), np.full(np.size(u), xs)),
-        )
-        for xs, k in spots
+        _spot_law(xs, k, D, dt) for xs, k in spots
     ]
     if len(sources) < 2:  # a single source decides with its own law
         return sources[0] if sources else None
@@ -229,6 +277,14 @@ def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw
             np.subtract(1.0, law.probability(x0, x1), out=row)
         return np.subtract(1.0, np.cumprod(q, axis=0, out=q), out=q)
 
+    def bound(x0, x1):
+        """killed_by's last row with each spot's bound for its probability,
+        combined in the same order, so again at least that row."""
+        q = np.ones(np.size(x0))
+        for law in sources:
+            q *= np.subtract(1.0, (law.bound or law.probability)(x0, x1))
+        return np.subtract(1.0, q, out=q)
+
     def locate(x0, x1, u):
         """The site of the first source whose cumulative probability exceeds
         u, and the in-step time of that source's kill."""
@@ -238,7 +294,7 @@ def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw
         s[r] = rate_kill(x0[r], x1[r], u[r])[0]
         return s, site
 
-    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], locate)
+    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], locate, bound)
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,6 +313,10 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     right_abs = dom.right.kind is BoundaryKind.ABSORBING
     exits = left_abs or right_abs
     n_uniform = int(exits) + int(kill is not None)
+    # an end out of reach of every live step is not computed (module docstring)
+    reach = math.sqrt(746 * D * dt)
+    screen = exits and L > reach
+    lo = hi = y0  # the range of the last step's ends
 
     fate = np.full(n, FATE_ABSORBED, dtype=np.uint8)
     t_end = np.empty(n, dtype=float)
@@ -297,39 +357,46 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.clip(x1, 0.0, L, out=x1)
         u = rng.random(out=u_buf[: n_uniform * m])
         u_exit, u_kill = (u[:m], u[m:]) if exits else (None, u)
+        near_left, near_right = left_abs, right_abs
+        if screen:
+            lo_step, hi_step = x1.min(), x1.max()
+            near_left = left_abs and min(lo, lo_step) < reach
+            near_right = right_abs and L - max(hi, hi_step) < reach
+            lo, hi = lo_step, hi_step
 
-        if left_abs:
+        events = None
+        if near_left:
             left = u_exit < _hit_probability(x0, x1, D, dt, out=p_left[:m])
             events = left
-        if right_abs:
+        if near_right:
             p = _hit_probability(
                 np.subtract(L, x0, out=d0_right[:m]), np.subtract(L, x1, out=d1_right[:m]),
                 D, dt, out=p_right[:m],
             )
             right = u_exit > np.subtract(1.0, p, out=p)
-            events = left | right if left_abs else right
+            events = right if events is None else left | right
         if kill is not None:
-            killed = u_kill < kill.probability(x0, x1)
-            events = events | killed if exits else killed
-        ev = events.nonzero()[0]
+            killed = kill.kills(x0, x1, u_kill)
+            events = killed if events is None else events | killed
+        ev = events.nonzero()[0] if events is not None else alive[:0]
         if not ev.size:
             x0_buf, x1_buf = x1_buf, x0_buf
             continue
 
         idx = alive[ev]
         t_end[idx] = step * dt
-        if left_abs and right_abs:
+        if near_left and near_right:
             x_end[idx] = np.where(left[ev], 0.0, L)
-        elif exits:
-            x_end[idx] = 0.0 if left_abs else L
+        elif near_left or near_right:
+            x_end[idx] = 0.0 if near_left else L
         dead = ev[killed[ev]] if kill is not None else ev[:0]
         if dead.size:
             a, b = x0[dead], x1[dead]
             s, site = kill.locate(a, b, u_kill[dead])
-            if exits:
+            if near_left or near_right:
                 # a kill and an exit in one step: the earlier ends it
-                at_left = left[dead] if left_abs else np.zeros(dead.size, dtype=bool)
-                both = at_left | right[dead] if right_abs else at_left
+                at_left = left[dead] if near_left else np.zeros(dead.size, dtype=bool)
+                both = at_left | right[dead] if near_right else at_left
                 if both.any():
                     d0 = np.where(at_left[both], a[both], L - a[both])
                     d1 = np.where(at_left[both], b[both], L - b[both])

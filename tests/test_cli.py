@@ -80,6 +80,13 @@ def test_unknown_section_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("default", ["[DEFAULT]\ncells = 100\n", "[DEFAULT]\n"], ids=["with-a-key", "empty"])
+def test_default_section_is_refused_by_name(tmp_path, capsys, default):
+    path = write(tmp_path, default + MINIMAL)
+    assert main(["split", path]) == 2
+    assert capsys.readouterr().err == "error: unknown section [DEFAULT]\n"
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "[domain]\nlength = 1.0\nleftt = absorbing\n")
     with pytest.raises(InputError, match="unknown key"):

@@ -250,7 +250,7 @@ def test_spot_probability_is_the_local_time_law(k, dt, D):
     spread = math.sqrt(2 * D * dt)
     ends = [(0.5, 0.5), (0.45, 0.52), (0.5 - spread, 0.5 + 2 * spread), (0.4, 0.45), (0.6, 0.5 + spread)]
     x0, x1 = (np.array(v) for v in zip(*ends))
-    got = montecarlo._spot_kill_probability(x0, x1, xs, k, D, dt)
+    got = montecarlo._spot_law(xs, k, D, dt).probability(x0, x1)
     expected = [local_time_kill_probability(a, b, xs, k, D, dt) for a, b in ends]
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
 
@@ -261,7 +261,7 @@ def test_spot_probability_limits():
     x0 = rng.normal(0.0, 0.2, 400)
     x1 = x0 + rng.normal(0.0, math.sqrt(2 * D * dt), 400)
     strengths = [0.0, 0.1, 1.0, 10.0, 100.0, 1e4, 1e9]
-    p = np.array([montecarlo._spot_kill_probability(x0, x1, xs, k, D, dt) for k in strengths])
+    p = np.array([montecarlo._spot_law(xs, k, D, dt).probability(x0, x1) for k in strengths])
     assert np.all((p >= 0.0) & (p <= 1.0))
     assert np.all(p[0] == 0.0)
     assert np.all(np.diff(p, axis=0) >= 0.0)
@@ -269,6 +269,27 @@ def test_spot_probability_limits():
     # exp(-2 max(ab, 0)/dt) with a, b in units of sqrt(2D)
     a, b = x0 / math.sqrt(2 * D), x1 / math.sqrt(2 * D)
     np.testing.assert_allclose(p[-1], np.exp(-2 * np.maximum(a * b, 0.0) / dt), rtol=1e-6, atol=1e-12)
+
+
+@given(
+    k=st.floats(1e-3, 1e7),
+    D=st.floats(1e-3, 1e3),
+    dt=st.floats(1e-6, 1.0),
+    # the ends in units of sqrt(D dt) from the spot: the hit factor
+    # exp(-max(ab, 0)/(D dt)) is subnormal for ab/(D dt) in (708, 745)
+    ends=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)), min_size=1, max_size=20),
+)
+@example(k=1e6, D=1.0, dt=0.1, ends=[(0.0, 0.0), (0.5, -0.5), (3.0, 2.0)])  # k dt >> sqrt(D dt)
+@example(k=5.0, D=1.0, dt=8e-3, ends=[(27.0, 27.0), (26.8, 27.5), (27.2, 27.3), (40.0, 40.0)])
+@settings(max_examples=300, deadline=None)
+def test_spot_bound_is_at_least_the_kill_probability(k, D, dt, ends):
+    scale = math.sqrt(D * dt)
+    x0, x1 = (np.array(v) * scale + 0.5 for v in zip(*ends))
+    spot = montecarlo._spot_law(0.5, k, D, dt)
+    assert np.all(spot.bound(x0, x1) >= spot.probability(x0, x1))
+    # a rate and a second spot combine their bounds as their probabilities
+    pumps = montecarlo._kill_law(KillingMeasure(rates=(1.0,), spots=((0.5, k), (0.5 + scale, 2.0))), D, dt)
+    assert np.all(pumps.bound(x0, x1) >= pumps.probability(x0, x1))
 
 
 def test_crossing_time_lies_in_the_step_and_follows_the_bridge():
@@ -515,16 +536,41 @@ TERMINATING = [
     if "absorbing" in (left, right) or kill != "zero"
 ]
 
+# (length, y, left, right, killing, drift, dt): on [0, 1] at every end-kind
+# pair and killing kind, the large step making a kill and an exit in one step
+# common; then on [0, 40] at dt 0.08, where an end is screened (not computed)
+# while every trajectory stays sqrt(746 D dt) = 7.7 from it
+DRAW_FOR_DRAW = [
+    pytest.param(1.0, 0.35, left, right, KILLINGS[kill], drift, dt, id=f"{left}-{right}-{kill}-{drift}-{dt}")
+    for left, right, kill in TERMINATING
+    for drift in (0.0, 1.5)
+    for dt in (5e-3, 0.04)
+] + [
+    pytest.param(40.0, 20.0, "absorbing", "absorbing", killing, 0.0, 0.08, id=f"wide-{name}")
+    for name, killing in [
+        ("uniform", KillingMeasure.uniform(0.5)),
+        ("spot", KillingMeasure.dirac([(20.5, 2.0)])),
+        ("rate-plus-two-spots", KillingMeasure(rates=(0.05,), spots=((19.0, 2.0), (21.5, 3.0)))),
+    ]
+] + [
+    # a start near one end: that end is in reach, the other is screened
+    pytest.param(40.0, 3.0, "absorbing", "absorbing", KillingMeasure.uniform(0.2), 0.0, 0.08, id="near-left"),
+    pytest.param(40.0, 36.0, "reflecting", "absorbing", KillingMeasure.dirac([(35.0, 1.0)]), 0.0, 0.08,
+                 id="near-right-spot"),
+    # drift carries the population into reach of one end, then the other
+    pytest.param(40.0, 20.0, "absorbing", "absorbing", KillingMeasure.uniform(0.05), -4.0, 0.08, id="drift-left"),
+    pytest.param(40.0, 20.0, "reflecting", "absorbing", KillingMeasure(), 3.0, 0.08, id="drift-right"),
+    # a first step that drifts 9.6 away from a start next to an end: the step's
+    # start, not its end, keeps that end in reach
+    pytest.param(40.0, 0.01, "absorbing", "absorbing", KillingMeasure(), 120.0, 0.08, id="drift-away"),
+]
 
-# the large step makes a kill and an exit in one step common
-@pytest.mark.parametrize("dt", [5e-3, 0.04])
-@pytest.mark.parametrize("drift", [0.0, 1.5])
-@pytest.mark.parametrize("left,right,kill", TERMINATING)
-def test_worker_is_draw_for_draw_the_reference(left, right, kill, drift, dt):
-    killing = KILLINGS[kill]
-    model = interval(1.0, left, right, drift=drift)
+
+@pytest.mark.parametrize("length,y,left,right,killing,drift,dt", DRAW_FOR_DRAW)
+def test_worker_is_draw_for_draw_the_reference(length, y, left, right, killing, drift, dt):
+    model = interval(length, left, right, drift=drift)
     config = cfg(dt=dt, n_trajectories=300, seed=5)
-    args = (model, killing, 0.35, config, config.n_trajectories, 1)
+    args = (model, killing, y, config, config.n_trajectories, 1)
     out = montecarlo.TrajectoryOutcomes(*montecarlo._simulate_worker(args), config.dt)
     _assert_same_outcomes(out, _reference_worker(args))
 
