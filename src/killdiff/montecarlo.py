@@ -21,7 +21,7 @@ made for that bridge:
   (k/2) sqrt(pi dt/D) exp(-max(ab, 0)/(D dt)) erfcx((|a| + |b| + k dt) /
   (2 sqrt(D dt))) with a = x0 - xs, b = x1 - xs, at the step midpoint and
   at the spot.  The rate and then each spot kill with 1 - prod(1 - P_i):
-  the first whose cumulative probability exceeds u kills;
+  the first whose cumulative probability exceeds u kills (`_KillLaw`);
 - a step with both a kill and an exit (rare) ends with the earlier: the
   crossing time tau = dt V/(1 + V), V inverse Gaussian with mean d0/|d1|
   and shape d0^2/(2 D dt), against the kill time (the midpoint for spots).
@@ -68,15 +68,15 @@ point, so every draw and decision is the one the full laws give:
   (k/2) sqrt(pi dt/D) erfcx(z0) (1 + 1e-9), z0 = k dt/(2 sqrt(D dt)), since
   erfcx decreases; a step whose kill uniform exceeds that bound (several
   sources combine their bounds as their probabilities) is not killed, and
-  erfcx runs on the other steps alone.
+  erfcx runs on the other steps alone (`_KillLaw.kills`).
 
 The crossing times, kill times and kill positions are computed only on the
 few trajectories with an event.  At about 700 live trajectories each call's
-fixed cost weighs as much as its arithmetic: a trajectory-step costs 115 ns
-on the crosscheck matrix (131 without the screens; a shared 2-core host,
-`bench/run.py --workload matrix --trace 1`), and about 45 ns on
-`scenarios/constant_killing_line.ini` (100k trajectories, one worker), of
-which the normal and the two uniforms take about 36.  The exact decisions
+fixed cost weighs as much as its arithmetic: a trajectory-step costs about
+103 ns on the crosscheck matrix (121 without the screens; a shared 2-core
+x86-64 host, `bench/run.py --workload matrix --trace 1`), and about 43 ns
+on `scenarios/constant_killing_line.ini` (100k trajectories, one worker),
+of which the normal and the two uniforms take about 25.  The exact decisions
 and the midpoint estimator pay for it by allowing steps 20-80 times larger
 at the same accuracy (0.88 million trajectory-steps on the crosscheck
 matrix instead of 63 million).
@@ -90,7 +90,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -175,126 +175,111 @@ def _bridge_point(rng: np.random.Generator, x0, x1, s, D: float, dt: float) -> n
     return x0 + (x1 - x0) * (s / dt) + spread * rng.standard_normal(np.size(s))
 
 
-class _KillLaw(NamedTuple):
-    probability: Callable  # (x0, x1) -> kill probability of each step
-    # (x0, x1, u) -> (in-step kill time, kill site) of the steps killed with
-    # uniform u; a NaN site marks a rate kill, at a bridge point
-    locate: Callable
-    # (x0, x1) -> an upper bound on the probability, cheaper to compute; None
-    # where the probability is as cheap
-    bound: Optional[Callable] = None
+class _KillLaw:
+    """The kill decision of one step, exact for the Brownian bridge between
+    its endpoints (module docstring).  Its sources are the rate, if it is
+    positive anywhere, then each spot of positive strength, in order."""
 
-    def kills(self, x0, x1, u) -> np.ndarray:
-        """Whether each step is killed, u < probability.  A step with u above
-        the bound is not; the probability is computed for the others only."""
-        if self.bound is None:
-            return u < self.probability(x0, x1)
-        killed = u <= self.bound(x0, x1)
-        c = killed.nonzero()[0]
-        if c.size:
-            killed[c] = u[c] < self.probability(x0[c], x1[c])
-        return killed
+    def __init__(self, killing: KillingMeasure, D: float, dt: float):
+        self.D, self.dt, self.scale = D, dt, 0.5 / math.sqrt(D * dt)
+        rates = np.asarray(killing.rates, dtype=float)
+        self.rated = bool((rates > 0).any())
+        # a uniform rate: one mean rate and one kill probability for every step
+        self.rate, self.p_rate = rates[0], -math.expm1(-rates[0] * dt)
+        self.half = None if rates.size == 1 else rates / 2
+        self.piece = partial(np.asarray(killing.breakpoints).searchsorted, side="right")
+        spots = [(xs, k) for xs, k in killing.spots if k > 0]
+        if spots:
+            from scipy.special import erfcx
 
+            self.erfcx = erfcx
+        # per spot: its site, k, (k/2) sqrt(pi dt/D) and the bound's erfcx(z0) (1 + 1e-9)
+        self.spots = [
+            (xs, k, 0.5 * k * math.sqrt(math.pi * dt / D), float(self.erfcx(k * dt * self.scale)) * (1 + 1e-9))
+            for xs, k in spots
+        ]
+        self.single = self.rated + len(spots) == 1
+        self.sites = np.array([math.nan] * self.rated + [xs for xs, _ in spots])
 
-def _spot_law(xs: float, k: float, D: float, dt: float) -> _KillLaw:
-    """The kill law of a spot at xs of strength k for the Brownian bridge
-    from x0 to x1 over dt: E[1 - exp(-k L)] for its local time L at xs,
-    from the bridge's local-time law.
+    def mean_rate(self, x0, x1):
+        """The trapezoid (k(x0) + k(x1))/2 of the rate over the step."""
+        if self.half is None:
+            return self.rate
+        r = self.half[self.piece(x0)]
+        r += self.half[self.piece(x1)]
+        return r
 
-    Its bound replaces erfcx(z), z >= z0 = k dt / (2 sqrt(D dt)), by
-    erfcx(z0) (1 + 1e-9), erfcx being decreasing, and multiplies in the
-    probability's own order: floating-point rounding is monotone, so the
-    bound is at least the probability as computed, element by element."""
-    from scipy.special import erfcx
+    def _rate_probability(self, x0, x1):
+        """1 - exp(-r dt) for the mean rate r over the step."""
+        if self.half is None:
+            return self.p_rate
+        r = self.mean_rate(x0, x1)
+        r *= -self.dt
+        return np.negative(np.expm1(r, out=r), out=r)
 
-    scale = 0.5 / math.sqrt(D * dt)
-    factor = 0.5 * k * math.sqrt(math.pi * dt / D)
-    top = float(erfcx(k * dt * scale)) * (1 + 1e-9)
-
-    def probability(x0, x1):
+    def _spot_probability(self, x0, x1, spot, bound: bool):
+        """E[1 - exp(-k L)] for the bridge's local time L at the spot, or with
+        bound an upper bound on it: erfcx(z), z >= z0 = k dt / (2 sqrt(D dt)),
+        becomes erfcx(z0) (1 + 1e-9), erfcx being decreasing.  The two share
+        the hit factor and the order of the products, and rounding is
+        monotone, so the bound is at least the probability as computed."""
+        xs, k, factor, top = spot
         a = np.subtract(x0, xs)
         b = np.subtract(x1, xs)
-        p = _hit_probability(a, b, D, dt)
-        np.abs(a, out=a)
-        a += np.abs(b, out=b)
-        a += k * dt
-        a *= scale
-        p *= erfcx(a, out=a)
+        p = _hit_probability(a, b, self.D, self.dt, out=b if bound else None)
+        if bound:
+            p *= top
+        else:
+            np.abs(a, out=a)
+            a += np.abs(b, out=b)
+            a += k * self.dt
+            a *= self.scale
+            p *= self.erfcx(a, out=a)
         p *= factor
         return p
 
-    def bound(x0, x1):
-        a = np.subtract(x0, xs)
-        p = _hit_probability(a, np.subtract(x1, xs), D, dt, out=a)
-        p *= top
-        p *= factor
-        return p
+    def cumulative(self, x0, x1, bound: bool = False) -> list:
+        """Per source, the probability that it or a source before it kills
+        each step, 1 - prod(1 - P_i), one row each; a single source's row is
+        its own probability.  With bound, each spot's bound stands for its
+        probability; combined in the same order, the last row is then at
+        least its exact value, element by element."""
+        rows = [self._rate_probability(x0, x1)] if self.rated else []
+        for spot in self.spots:
+            rows.append(self._spot_probability(x0, x1, spot, bound))
+        if not self.single:
+            q = 1.0
+            for i, p in enumerate(rows):
+                q = q * np.subtract(1.0, p)
+                rows[i] = np.subtract(1.0, q)
+        return rows
 
-    def locate(x0, x1, u):
-        return np.full(np.size(u), dt / 2), np.full(np.size(u), xs)
+    def kills(self, x0, x1, u) -> np.ndarray:
+        """Whether each step is killed, u < its kill probability.  A step
+        with u above the bound is not; the probability is computed for the
+        others only.  A rate alone has no cheaper bound."""
+        if not self.spots:
+            return u < self._rate_probability(x0, x1)
+        killed = u <= self.cumulative(x0, x1, bound=True)[-1]
+        c = killed.nonzero()[0]
+        if c.size:
+            killed[c] = u[c] < self.cumulative(x0[c], x1[c])[-1]
+        return killed
 
-    return _KillLaw(probability, locate, bound)
-
-
-def _kill_law(killing: KillingMeasure, D: float, dt: float) -> Optional[_KillLaw]:
-    """The kill decision of one step, exact for the Brownian bridge between
-    its endpoints (module docstring); None without killing."""
-    rates = np.asarray(killing.rates, dtype=float)
-    spots = [(xs, k) for xs, k in killing.spots if k > 0]
-    if rates.size == 1:  # uniform: one kill probability for every step
-        v0, p = rates[0], -math.expm1(-rates[0] * dt)
-        probability, mean_rate = (lambda x0, x1: p), (lambda x0, x1: v0)
-    else:
-        piece = partial(np.asarray(killing.breakpoints).searchsorted, side="right")
-        half = rates / 2
-
-        def mean_rate(x0, x1):
-            """The trapezoid (k(x0) + k(x1))/2 of the rate over the step."""
-            r = half[piece(x0)]
-            r += half[piece(x1)]
-            return r
-
-        def probability(x0, x1):
-            r = mean_rate(x0, x1)
-            r *= -dt
-            return np.negative(np.expm1(r, out=r), out=r)
-
-    def rate_kill(x0, x1, u):
-        return -np.log1p(-u) / mean_rate(x0, x1), np.full(np.size(u), math.nan)
-
-    rated = bool((rates > 0).any())
-    sources = [_KillLaw(probability, rate_kill)] * rated + [
-        _spot_law(xs, k, D, dt) for xs, k in spots
-    ]
-    if len(sources) < 2:  # a single source decides with its own law
-        return sources[0] if sources else None
-    sites = np.array([math.nan] * rated + [xs for xs, _ in spots])
-
-    def killed_by(x0, x1):
-        """Per source, the probability that it or a source before it kills the step."""
-        q = np.empty((len(sources), np.size(x0)))
-        for row, law in zip(q, sources):
-            np.subtract(1.0, law.probability(x0, x1), out=row)
-        return np.subtract(1.0, np.cumprod(q, axis=0, out=q), out=q)
-
-    def bound(x0, x1):
-        """killed_by's last row with each spot's bound for its probability,
-        combined in the same order, so again at least that row."""
-        q = np.ones(np.size(x0))
-        for law in sources:
-            q *= np.subtract(1.0, (law.bound or law.probability)(x0, x1))
-        return np.subtract(1.0, q, out=q)
-
-    def locate(x0, x1, u):
-        """The site of the first source whose cumulative probability exceeds
-        u, and the in-step time of that source's kill."""
-        site = sites[np.count_nonzero(killed_by(x0, x1) <= u, axis=0)]
-        s = np.full(np.size(u), dt / 2)
+    def locate(self, x0, x1, u):
+        """The in-step time and the site of the kill of each step killed
+        with uniform u: the first source whose cumulative probability
+        exceeds u kills, a spot at the step midpoint and at its site, the
+        rate at the in-step time -log1p(-u)/r of its mean rate r and at a
+        bridge point then, which a NaN site marks."""
+        if self.single:
+            s = -np.log1p(-u) / self.mean_rate(x0, x1) if self.rated else np.full(np.size(u), self.dt / 2)
+            return s, np.full(np.size(u), self.sites[0])
+        site = self.sites[sum(row <= u for row in self.cumulative(x0, x1))]
+        s = np.full(np.size(u), self.dt / 2)
         r = np.isnan(site)
-        s[r] = rate_kill(x0[r], x1[r], u[r])[0]
+        s[r] = -np.log1p(-u[r]) / self.mean_rate(x0[r], x1[r])
         return s, site
-
-    return _KillLaw(lambda x0, x1: killed_by(x0, x1)[-1], locate, bound)
 
 
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +293,7 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     dt = cfg.dt
     sigma = math.sqrt(2 * D * dt)
     shift = model.drift * dt
-    kill = _kill_law(killing, D, dt)
+    kill = None if killing.is_zero else _KillLaw(killing, D, dt)
     left_abs = dom.left.kind is BoundaryKind.ABSORBING
     right_abs = dom.right.kind is BoundaryKind.ABSORBING
     exits = left_abs or right_abs

@@ -242,6 +242,10 @@ def local_time_kill_probability(x0, x1, xs, k, D, dt):
     return value
 
 
+def spot_law(xs, k, D, dt):
+    return montecarlo._KillLaw(KillingMeasure.dirac([(xs, k)]), D, dt)
+
+
 @pytest.mark.parametrize("D", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("dt", [1e-3, 0.04])
 @pytest.mark.parametrize("k", [0.3, 5.0, 60.0])
@@ -250,7 +254,7 @@ def test_spot_probability_is_the_local_time_law(k, dt, D):
     spread = math.sqrt(2 * D * dt)
     ends = [(0.5, 0.5), (0.45, 0.52), (0.5 - spread, 0.5 + 2 * spread), (0.4, 0.45), (0.6, 0.5 + spread)]
     x0, x1 = (np.array(v) for v in zip(*ends))
-    got = montecarlo._spot_law(xs, k, D, dt).probability(x0, x1)
+    got = spot_law(xs, k, D, dt).cumulative(x0, x1)[-1]
     expected = [local_time_kill_probability(a, b, xs, k, D, dt) for a, b in ends]
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
 
@@ -260,10 +264,13 @@ def test_spot_probability_limits():
     rng = np.random.default_rng(1)
     x0 = rng.normal(0.0, 0.2, 400)
     x1 = x0 + rng.normal(0.0, math.sqrt(2 * D * dt), 400)
-    strengths = [0.0, 0.1, 1.0, 10.0, 100.0, 1e4, 1e9]
-    p = np.array([montecarlo._spot_law(xs, k, D, dt).probability(x0, x1) for k in strengths])
+    strengths = [0.1, 1.0, 10.0, 100.0, 1e4, 1e9]
+    p = np.array([np.zeros(x0.size)] + [spot_law(xs, k, D, dt).cumulative(x0, x1)[-1] for k in strengths])
     assert np.all((p >= 0.0) & (p <= 1.0))
-    assert np.all(p[0] == 0.0)
+    # strength 0 kills with probability 0: the law drops such a spot, and
+    # beside another it changes no probability
+    beside = montecarlo._KillLaw(KillingMeasure.dirac([(xs, 0.0), (xs, 0.1)]), D, dt)
+    assert np.array_equal(beside.cumulative(x0, x1)[-1], p[1])
     assert np.all(np.diff(p, axis=0) >= 0.0)
     # an infinitely strong spot kills exactly the bridges that reach it:
     # exp(-2 max(ab, 0)/dt) with a, b in units of sqrt(2D)
@@ -285,11 +292,11 @@ def test_spot_probability_limits():
 def test_spot_bound_is_at_least_the_kill_probability(k, D, dt, ends):
     scale = math.sqrt(D * dt)
     x0, x1 = (np.array(v) * scale + 0.5 for v in zip(*ends))
-    spot = montecarlo._spot_law(0.5, k, D, dt)
-    assert np.all(spot.bound(x0, x1) >= spot.probability(x0, x1))
+    spot = spot_law(0.5, k, D, dt)
+    assert np.all(spot.cumulative(x0, x1, bound=True)[-1] >= spot.cumulative(x0, x1)[-1])
     # a rate and a second spot combine their bounds as their probabilities
-    pumps = montecarlo._kill_law(KillingMeasure(rates=(1.0,), spots=((0.5, k), (0.5 + scale, 2.0))), D, dt)
-    assert np.all(pumps.bound(x0, x1) >= pumps.probability(x0, x1))
+    pumps = montecarlo._KillLaw(KillingMeasure(rates=(1.0,), spots=((0.5, k), (0.5 + scale, 2.0))), D, dt)
+    assert np.all(pumps.cumulative(x0, x1, bound=True)[-1] >= pumps.cumulative(x0, x1)[-1])
 
 
 def test_crossing_time_lies_in_the_step_and_follows_the_bridge():
@@ -324,12 +331,12 @@ def test_hit_probability_is_one_once_crossed():
 
 def test_kill_probability_of_a_rate_field():
     dt = 0.01
-    uniform = montecarlo._kill_law(KillingMeasure.uniform(3.0), 1.0, dt)
-    assert uniform.probability(np.zeros(2), np.ones(2)) == -math.expm1(-3.0 * dt)
-    piecewise = montecarlo._kill_law(KillingMeasure.piecewise([0.5], [1.0, 5.0]), 1.0, dt)
+    uniform = montecarlo._KillLaw(KillingMeasure.uniform(3.0), 1.0, dt)
+    assert uniform.cumulative(np.zeros(2), np.ones(2))[-1] == -math.expm1(-3.0 * dt)
+    piecewise = montecarlo._KillLaw(KillingMeasure.piecewise([0.5], [1.0, 5.0]), 1.0, dt)
     x0, x1 = np.array([0.2, 0.7, 0.45]), np.array([0.3, 0.6, 0.55])
     expected = -np.expm1(-dt * np.array([1.0, 5.0, 3.0]))
-    np.testing.assert_allclose(piecewise.probability(x0, x1), expected, rtol=1e-15)
+    np.testing.assert_allclose(piecewise.cumulative(x0, x1)[-1], expected, rtol=1e-15)
     # a step killed by the rate dies at the in-step time of its trapezoid mean rate
     u = np.array([0.002, 0.03, 0.01])
     s, site = piecewise.locate(x0, x1, u)
@@ -538,12 +545,22 @@ TERMINATING = [
 
 # (length, y, left, right, killing, drift, dt): on [0, 1] at every end-kind
 # pair and killing kind, the large step making a kill and an exit in one step
-# common; then on [0, 40] at dt 0.08, where an end is screened (not computed)
-# while every trajectory stays sqrt(746 D dt) = 7.7 from it
+# common; then sources of strength 0 beside live ones, which the law drops,
+# one end pair each; then on [0, 40] at dt 0.08, where an end is screened
+# (not computed) while every trajectory stays sqrt(746 D dt) = 7.7 from it
 DRAW_FOR_DRAW = [
     pytest.param(1.0, 0.35, left, right, KILLINGS[kill], drift, dt, id=f"{left}-{right}-{kill}-{drift}-{dt}")
     for left, right, kill in TERMINATING
     for drift in (0.0, 1.5)
+    for dt in (5e-3, 0.04)
+] + [
+    pytest.param(1.0, 0.35, left, right, killing, 1.5, dt, id=f"{name}-{dt}")
+    for name, left, right, killing in [
+        ("zero-rates-plus-spot", "absorbing", "absorbing", KillingMeasure((0.5,), (0.0, 0.0), ((0.4, 2.0),))),
+        ("zero-spot-beside-a-spot", "absorbing", "reflecting", KillingMeasure.dirac([(0.3, 0.0), (0.6, 2.0)])),
+        ("zero-then-rate-plus-spot", "reflecting", "absorbing", KillingMeasure((0.5,), (0.0, 3.0), ((0.3, 2.0),))),
+        ("uniform-plus-zero-spot", "reflecting", "reflecting", KillingMeasure(rates=(2.0,), spots=((0.5, 0.0),))),
+    ]
     for dt in (5e-3, 0.04)
 ] + [
     pytest.param(40.0, 20.0, "absorbing", "absorbing", killing, 0.0, 0.08, id=f"wide-{name}")
@@ -580,6 +597,26 @@ def _reference_outcomes(model, killing, y, config, counts):
     trajectories, concatenated in worker order."""
     parts = [_reference_worker((model, killing, y, config, n, w)) for w, n in enumerate(counts)]
     return [np.concatenate(p) for p in zip(*parts)]
+
+
+def test_erfcx_is_imported_by_a_spot_simulation_only():
+    script = textwrap.dedent("""
+        import sys
+        import killdiff
+        from killdiff import montecarlo
+        from killdiff.model import KillingMeasure, interval
+        config = montecarlo.McConfig(1e-2, 50)
+        montecarlo.simulate_outcomes(interval(1.0), KillingMeasure.piecewise([0.5], [1.0, 2.0]), 0.4, config)
+        assert "scipy.special" not in sys.modules
+        montecarlo.simulate_outcomes(interval(1.0), KillingMeasure.dirac([(0.5, 2.0)]), 0.4, config)
+        assert "scipy.special" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_two_workers_match_the_reference():
