@@ -1,7 +1,8 @@
 """Adjudication harness: runs closed forms, the PDE solver and Monte Carlo
 on a scenario matrix, compares every observable pairwise, resolves the
 formula variants that disagree with their own series, and emits a
-machine-readable report."""
+machine-readable report.  `route_table` gives each route's observables by
+name, and `BANDS`, the band table, is the one place a row's band lives."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import csv
 import math
 from dataclasses import astuple, dataclass, fields
 from itertools import groupby
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .model import (
     DiffusionModel,
     InitialCondition,
     KillingMeasure,
+    SplitStatistics,
     interval,
 )
 from .montecarlo import McConfig, simulate_rs, simulate_split
@@ -37,6 +39,10 @@ class Scenario:
     grid: GridSpec = GridSpec(200, 2e-3, 12.0)
     mc: McConfig = McConfig(dt=1e-3, n_trajectories=4000)
     mc_bias: float = 0.0  # documented discretization-bias allowance for MC bands
+
+    def __post_init__(self):
+        if self.kind not in ("split", "steady", "green"):
+            raise ValueError(f"unknown scenario kind {self.kind!r}: not split, steady or green")
 
 
 @dataclass(frozen=True)
@@ -120,18 +126,8 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[object]
                 (quoted if crlf else out).writerow(row)
 
 
-def _compare(
-    scenario: str,
-    observable: str,
-    a: str,
-    va: float,
-    b: str,
-    vb: float,
-    tol: float,
-    sigma: float = 0.0,
-) -> Comparison:
-    passed = (math.isinf(va) and va == vb) or bool(abs(va - vb) <= tol)
-    return Comparison(scenario, observable, a, va, b, vb, sigma, tol, passed)
+def _passed(va: float, vb: float, tol: float) -> bool:
+    return (math.isinf(va) and va == vb) or bool(abs(va - vb) <= tol)
 
 
 def analytic_split_dirac(
@@ -355,121 +351,98 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
     ]
 
 
-def _run_split(sc: Scenario) -> List[Comparison]:
-    rows: List[Comparison] = []
-    ic = InitialCondition.point(sc.y)
-    pde = split_statistics(sc.model, sc.killing, ic, sc.grid)
-    mc = simulate_split(sc.model, sc.killing, sc.y, sc.mc)
+Route = Dict[str, Tuple[float, float]]  # observable -> (value, sigma)
 
-    rows.append(
-        _compare(sc.name, "pk+pa", "pde", pde.p_killed + pde.p_absorbed, "exact", 1.0, 1e-6)
-    )
-    rows.append(
-        _compare(sc.name, "pk+pa", "mc", mc.p_killed + mc.p_absorbed, "exact", 1.0, 1e-12)
-    )
 
-    for obs, v_pde, v_mc, se in (
-        ("p_killed", pde.p_killed, mc.p_killed, mc.p_killed_se),
-        ("mean_kill_time", pde.mean_kill_time, mc.mean_kill_time, mc.mean_kill_time_se),
-        ("mean_absorb_time", pde.mean_absorb_time, mc.mean_absorb_time, mc.mean_absorb_time_se),
-    ):
-        if math.isnan(v_pde) or math.isnan(v_mc):
-            continue  # conditional mean undefined for at least one method
-        tol = max(3 * se + sc.mc_bias * max(1.0, abs(v_pde)), 1e-6)
-        rows.append(_compare(sc.name, obs, "pde", v_pde, "mc", v_mc, tol, sigma=se))
+def _split_route(stats: SplitStatistics) -> Route:
+    route = {"pk+pa": (stats.p_killed + stats.p_absorbed, 0.0)}  # an identity: no sigma
+    for name in ("p_killed", "mean_kill_time", "mean_absorb_time", "ratio_rinf"):
+        route[name] = (getattr(stats, name), getattr(stats, name + "_se"))
+    return route
 
+
+def route_table(sc: Scenario) -> Dict[str, Route]:
+    """Each route's observables, {route: {observable: (value, sigma)}}.  The
+    kind sets the solver and MC calls, in this order: split runs
+    split_statistics as `pde`, then simulate_split as `mc`; green runs
+    green_steady, then the same two with `pde` named `split_stats`; steady
+    runs steady_state as `pde`, then simulate_rs as `mc`.  `exact` holds the
+    values the kind's identities must take, and `analytic` and
+    `analytic_derived` what closed_forms returns."""
+    if sc.kind == "steady":
+        sol = steady_state(sc.model, sc.killing, sc.grid)
+        conservation = (sol.absorbed_flux + sol.kill_integral, 0.0)
+        routes = {
+            "pde": {"conservation": conservation, "ratio_rs": (sol.ratio_rs, 0.0)},
+            "exact": {"conservation": (sol.injected_flux, 0.0)},
+            "mc": {"ratio_rs": simulate_rs(sc.model, sc.killing, sc.mc)},
+        }
+    else:
+        green = sc.kind == "green"
+        routes = {}
+        if green:
+            gr = green_steady(sc.model, sc.killing, sc.y, sc.grid)
+            routes["green_steady"] = {"ratio_rinf": (gr.ratio_rinf, 0.0)}
+        pde = split_statistics(sc.model, sc.killing, InitialCondition.point(sc.y), sc.grid)
+        routes["split_stats" if green else "pde"] = _split_route(pde)
+        routes["mc"] = _split_route(simulate_split(sc.model, sc.killing, sc.y, sc.mc))
+        routes["exact"] = {"paper*derived" if green else "pk+pa": (1.0, 0.0)}
     forms = closed_forms(sc.model, sc.killing, sc.y)
-    if "mean_kill_time" in forms:
-        mk = forms["mean_kill_time"]
-        if sc.killing.spots:  # a single spot's forms
-            pk = forms["p_killed"]
-            rows.append(_compare(sc.name, "p_killed", "analytic", pk, "pde", pde.p_killed, 2e-3))
-            tol = 5e-3 * max(1.0, mk)
-        else:
-            tol = 1e-4  # E[T] = 1/v0 holds exactly on a closed domain
-        rows.append(
-            _compare(sc.name, "mean_kill_time", "analytic", mk, "pde", pde.mean_kill_time, tol)
-        )
-    return rows
-
-
-def _run_steady(sc: Scenario) -> List[Comparison]:
-    rows: List[Comparison] = []
-    sol = steady_state(sc.model, sc.killing, sc.grid)
-    rows.append(
-        _compare(
-            sc.name,
-            "conservation",
-            "pde",
-            sol.absorbed_flux + sol.kill_integral,
-            "exact",
-            sol.injected_flux,
-            1e-10,
-        )
-    )
-    mc_ratio, mc_se = simulate_rs(sc.model, sc.killing, sc.mc)
-    ref = closed_forms(sc.model, sc.killing, sc.y).get("ratio_rs")
-    if ref is None:
-        # no closed form (drift, piecewise or several spots): PDE against MC
-        tol = 3 * mc_se + sc.mc_bias * abs(sol.ratio_rs)
-        rows.append(
-            _compare(sc.name, "ratio_rs", "pde", sol.ratio_rs, "mc", mc_ratio, tol, sigma=mc_se)
-        )
-        return rows
-    rows.append(
-        _compare(sc.name, "ratio_rs", "analytic", ref, "pde", sol.ratio_rs, 1e-3 * ref)
-    )
-    tol = 3 * mc_se + sc.mc_bias * ref
-    rows.append(
-        _compare(sc.name, "ratio_rs", "analytic", ref, "mc", mc_ratio, tol, sigma=mc_se)
-    )
-    return rows
-
-
-def _run_green(sc: Scenario) -> List[Comparison]:
-    rows: List[Comparison] = []
-    gr = green_steady(sc.model, sc.killing, sc.y, sc.grid)
-    pde = split_statistics(sc.model, sc.killing, InitialCondition.point(sc.y), sc.grid)
-    rows.append(
-        _compare(
-            sc.name,
-            "ratio_rinf",
-            "green_steady",
-            gr.ratio_rinf,
-            "split_stats",
-            pde.ratio_rinf,
-            1e-3 * max(1.0, abs(gr.ratio_rinf)),
-        )
-    )
-    mc = simulate_split(sc.model, sc.killing, sc.y, sc.mc)
-    tol = 3 * mc.ratio_rinf_se + sc.mc_bias * max(1.0, abs(gr.ratio_rinf))
-    rows.append(
-        _compare(
-            sc.name,
-            "ratio_rinf",
-            "green_steady",
-            gr.ratio_rinf,
-            "mc",
-            mc.ratio_rinf,
-            tol,
-            sigma=mc.ratio_rinf_se,
-        )
-    )
-    forms = closed_forms(sc.model, sc.killing, sc.y)
+    routes["analytic"] = {name: (value, 0.0) for name, value in forms.items()}
     if "ratio_rinf_derived" in forms:
         derived = forms["ratio_rinf_derived"]
-        rows.append(
-            _compare(
-                sc.name, "ratio_rinf", "analytic_derived", derived,
-                "green_steady", gr.ratio_rinf, 1e-3 * derived,
-            )
-        )
-        rows.append(
-            _compare(
-                sc.name, "paper*derived", "analytic", forms["ratio_rinf_paper"] * derived,
-                "exact", 1.0, 1e-9,
-            )
-        )
+        routes["analytic_derived"] = {"ratio_rinf": (derived, 0.0)}
+        routes["analytic"]["paper*derived"] = (forms["ratio_rinf_paper"] * derived, 0.0)
+    return routes
+
+
+def _mc_band(ref: float, sigma: float, sc: Scenario) -> float:
+    return max(3 * sigma + sc.mc_bias * max(1.0, abs(ref)), 1e-6)
+
+
+def _steady_mc_band(ref: float, sigma: float, sc: Scenario) -> float:
+    return 3 * sigma + sc.mc_bias * abs(ref)
+
+
+# Every row the report can hold, in report order, and its band: (observable,
+# route a, route b) -> (tol, when).  A scenario makes the row where both routes
+# hold the observable, neither value is NaN (a conditional mean of no events;
+# an observable a route does not hold reads NaN) and `when` is None or holds of
+# (scenario, routes).  tol may be tol(value a, sigma, scenario).
+BANDS: Dict[Tuple[str, str, str], Tuple[Union[float, Callable], Optional[Callable]]] = {
+    ("pk+pa", "pde", "exact"): (1e-6, None),
+    ("pk+pa", "mc", "exact"): (1e-12, None),
+    ("p_killed", "pde", "mc"): (_mc_band, None),
+    ("mean_kill_time", "pde", "mc"): (_mc_band, None),
+    ("mean_absorb_time", "pde", "mc"): (_mc_band, None),
+    # a single spot's forms only: the one form with a spot that kills
+    ("p_killed", "analytic", "pde"): (2e-3, lambda sc, _: any(k > 0 for _, k in sc.killing.spots)),
+    # E[T] = 1/v0 holds exactly on a closed box, the one form without a spot
+    ("mean_kill_time", "analytic", "pde"): (
+        lambda mk, _, sc: 5e-3 * max(1.0, mk) if sc.killing.spots else 1e-4, None
+    ),
+    ("conservation", "pde", "exact"): (1e-10, None),
+    # only without a closed form (drift, piecewise or several spots)
+    ("ratio_rs", "pde", "mc"): (_steady_mc_band, lambda _, r: "ratio_rs" not in r["analytic"]),
+    ("ratio_rs", "analytic", "pde"): (lambda ref, *_: 1e-3 * abs(ref), None),
+    ("ratio_rs", "analytic", "mc"): (_steady_mc_band, None),
+    ("ratio_rinf", "green_steady", "split_stats"): (lambda ref, *_: 1e-3 * max(1.0, abs(ref)), None),
+    ("ratio_rinf", "green_steady", "mc"): (_mc_band, None),
+    ("ratio_rinf", "analytic_derived", "green_steady"): (lambda ref, *_: 1e-3 * abs(ref), None),
+    ("paper*derived", "analytic", "exact"): (1e-9, None),
+}
+
+
+def _rows(sc: Scenario, routes: Dict[str, Route]) -> List[Comparison]:
+    rows = []
+    for (obs, a, b), (tol, when) in BANDS.items():
+        va, sa = routes.get(a, {}).get(obs, (math.nan, 0.0))
+        vb, sb = routes.get(b, {}).get(obs, (math.nan, 0.0))
+        if math.isnan(va) or math.isnan(vb) or (when and not when(sc, routes)):
+            continue
+        sigma = math.hypot(sa, sb)  # the routes' errors are independent
+        tol = tol(va, sigma, sc) if callable(tol) else tol
+        rows.append(Comparison(sc.name, obs, a, va, b, vb, sigma, tol, _passed(va, vb, tol)))
     return rows
 
 
@@ -533,9 +506,8 @@ def run_matrix(
         scenarios = default_matrix(seed=seed, workers=workers)
     rows: List[Comparison] = []
     for sc in scenarios:
-        runner = {"split": _run_split, "steady": _run_steady, "green": _run_green}[sc.kind]
         try:
-            rows.extend(runner(sc))
+            rows.extend(_rows(sc, route_table(sc)))
         except Exception as exc:  # record per-scenario errors, not fatal
             rows.append(
                 Comparison(

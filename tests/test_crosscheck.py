@@ -135,7 +135,7 @@ def test_only_a_row_holding_a_carriage_return_quotes_its_text(tmp_path):
 ])
 @pytest.mark.parametrize("tol", [0.0, 1.0, np.nan])
 def test_compare_passes_only_equal_infinities(va, vb, passed, tol):
-    assert crosscheck._compare("s", "o", "a", va, "b", vb, tol).passed is passed
+    assert crosscheck._passed(va, vb, tol) is passed
 
 
 def test_default_matrix_spans_killing_kinds():
@@ -268,6 +268,84 @@ def test_steady_scenario_without_closed_form_holds_pde_against_mc():
     ]
     assert all(r.passed for r in rows)
     assert rows[1].tol == 3 * rows[1].sigma + 0.02 * abs(rows[1].value_a)
+
+
+def test_an_unknown_scenario_kind_is_refused():
+    with pytest.raises(ValueError, match="'bogus'"):
+        Scenario("bogus-kind", "bogus", interval(1.0), KillingMeasure.uniform(1.0), y=0.5)
+
+
+# the solver and MC calls each kind makes, in order
+KIND_CALLS = {
+    "split": ["split_statistics", "simulate_split"],
+    "steady": ["steady_state", "simulate_rs"],
+    "green": ["green_steady", "split_statistics", "simulate_split"],
+}
+
+
+@pytest.fixture(scope="module")
+def band_runs():
+    """(scenario, rows, solver and MC calls) for default_matrix(seed=0) and
+    the steady-drift and drift-spot scenarios above."""
+    scenarios = default_matrix(seed=0) + [
+        Scenario(
+            "steady-drift",
+            "steady",
+            interval(1.0, "absorbing", "injection", drift=1.0, phi=1.0),
+            KillingMeasure.uniform(4.0),
+            grid=GridSpec(400, 1e-3, 1.0),
+            mc=McConfig(dt=5e-4, n_trajectories=2000, seed=1),
+            mc_bias=0.02,
+        )
+    ] + [
+        Scenario(
+            "drift-spot",
+            kind,
+            interval(1.0, drift=1.0),
+            KillingMeasure.dirac([(0.6, 5.0)]),
+            y=y,
+            grid=GridSpec(100, 1e-3, 1.0),
+            mc=McConfig(dt=1e-3, n_trajectories=200),
+            mc_bias=0.1,
+        )
+        for kind, y in (("split", 0.3), ("green", 0.8))
+    ]
+    calls, runs = [], []
+
+    def counted(name, call):
+        def counted_call(*args):
+            calls.append(name)
+            return call(*args)
+        return counted_call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in {name for names in KIND_CALLS.values() for name in names}:
+            mp.setattr(crosscheck, name, counted(name, getattr(crosscheck, name)))
+        for sc in scenarios:
+            calls.clear()
+            runs.append((sc, run_matrix(scenarios=[sc]).rows, list(calls)))
+    return runs
+
+
+def _keys(rows):
+    return [(r.observable, r.method_a, r.method_b) for r in rows]
+
+
+def test_every_row_is_a_band_in_band_table_order(band_runs):
+    order = list(crosscheck.BANDS)
+    for sc, rows, _ in band_runs:
+        assert rows and all(key in crosscheck.BANDS for key in _keys(rows)), sc.name
+        positions = [order.index(key) for key in _keys(rows)]
+        assert positions == sorted(set(positions)), sc.name
+
+
+def test_every_band_makes_a_row_somewhere(band_runs):
+    assert {key for _, rows, _ in band_runs for key in _keys(rows)} == set(crosscheck.BANDS)
+
+
+def test_each_kind_makes_its_solver_and_mc_calls_once_in_order(band_runs):
+    for sc, _, calls in band_runs:
+        assert calls == KIND_CALLS[sc.kind], sc.name
 
 
 @pytest.mark.parametrize(
