@@ -4,9 +4,11 @@ Discretization: node-centered finite volumes on [0, L] (half cells at
 reflecting/injection ends), face fluxes J = -D dp/dx + a p in the
 Scharfetter-Gummel form (exact for constant drift), the killing rate on
 the diagonal.  Point killings, point sources and the point start are split
-position-weighted across the two bracketing nodes.  States live on the
-unknown nodes (an absorbing end node holds zero) and are padded to all
-nodes only where a steady density is returned.  Survival, kill rate and
+position-weighted across the two bracketing nodes; the share of a start or
+source on an absorbing end node, which holds no unknown, counts as absorbed
+at t = 0 (`_Discretization.start`).  States live on the unknown nodes (an
+absorbing end node holds zero) and are padded to all nodes only where a
+steady density is returned.  Survival, kill rate and
 absorbed flux are the three rows of one weight matrix applied to a state,
 on every route.  The scheme's discrete conservation identity
 dS/dt = -killRate - boundaryFlux holds to round-off, which is what makes
@@ -23,6 +25,10 @@ windows and their node counts come from the grid alone, not the stride.
 diagonal.  `split_statistics` is (-A)^-1 u0 and A^-2 u0, the time integrals
 of e^(At) u0 and t e^(At) u0: two solves with one factorization of -A, by
 LU factors with partial pivoting (LAPACK gttrf, applied with gttrs).
+
+SciPy's linear algebra is imported by the calls that use it, at the first
+solve, not with the module: `import killdiff` and the routes that make no
+solve (the closed forms, Monte Carlo) do not load `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from functools import cached_property
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, zgtsv
 
 from .model import (
     BoundaryKind,
@@ -129,6 +133,8 @@ def _lu_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     """The solution x of M x = rhs from lu = dgttrf(lower, diag, upper), the
     LU factors with partial pivoting of the tridiagonal M, by LAPACK gttrs;
     all NaN when the factorization met an exactly zero pivot."""
+    from scipy.linalg.lapack import dgttrs
+
     *factors, info = lu
     if info:
         return np.full(rhs.size, math.nan)
@@ -143,6 +149,11 @@ class _Discretization:
         L, D, a = dom.length, model.diffusion, model.drift
         self.n = n_cells
         self.dx = dx = L / n_cells
+        if not (0 < dx * dx < math.inf and 0 < D / (dx * dx) < math.inf):
+            raise InputError(
+                f"cell width {dx:.3g} with diffusion {D:.3g} puts D/dx^2 outside the doubles: "
+                "choose another length, diffusion or cell count"
+            )
         self.x = np.linspace(0.0, L, n_cells + 1)
         self.left_kind = dom.left.kind
         self.right_kind = dom.right.kind
@@ -226,6 +237,8 @@ class _Discretization:
     @cached_property
     def neg_lu(self) -> tuple:
         """The LU factors of -A, made at the first solve."""
+        from scipy.linalg.lapack import dgttrf
+
         return dgttrf(-self.lower, -self.diag, -self.upper)
 
     @cached_property
@@ -256,9 +269,24 @@ class _Discretization:
             )
         return u, obs
 
-    def initial_vector(self, ic: InitialCondition) -> np.ndarray:
-        """Unit mass at ic.y on the unknown nodes."""
-        return self.point_mass(ic.y)[self.unknowns]
+    def start(self, pos: float) -> Tuple[float, np.ndarray]:
+        """A unit mass at pos as (delta, u): delta is its hat weight on an
+        absorbing end node, which no unknown holds, so it counts as absorbed
+        at t = 0; u is a unit mass on the unknown nodes that carries the
+        rest, 1 - delta.  Outside the end cells delta is 0 and u the hat
+        weights; in one, u is all on the cell's other node, so that a delta
+        close to 1 leaves no tiny mass to underflow in a solve."""
+        j = min(int(pos / self.dx), self.n - 1)
+        theta = pos / self.dx - j
+        if j == 0 and self.left_kind is BoundaryKind.ABSORBING:
+            delta, node = 1 - theta, 1
+        elif j == self.n - 1 and self.right_kind is BoundaryKind.ABSORBING:
+            delta, node = theta, j
+        else:
+            return 0.0, self.point_mass(pos)[self.unknowns]
+        u = np.zeros(self.m)
+        u[node - self.unknowns.start] = 1 / self.h[node]
+        return delta, u
 
 
 def evolve(
@@ -278,7 +306,8 @@ def evolve(
     disc = _Discretization(model, killing, grid.cell_count)
     n_steps = max(1, int(round(grid.t_max / grid.dt)))
     steps = np.arange(0, n_steps + 1, int(stride))
-    u0 = disc.initial_vector(ic)
+    delta, u0 = disc.start(ic.y)
+    u0 = (1 - delta) * u0  # the share delta is absorbed at t = 0
     obs = np.empty((3, steps.size))
     obs[:, 0] = disc.weights @ u0
     obs[:, 1:], estimate = _contour(disc, u0, steps[1:], grid.dt)
@@ -342,6 +371,8 @@ def _resolvent(disc: _Discretization, u0: np.ndarray, z: np.ndarray) -> np.ndarr
     of one tridiagonal matrix, joined by zeros that pivoting never crosses.
     The joined off-diagonals are built once per operator (`joined_off`), and
     each block is solved in place, over its diagonal and right-hand side."""
+    from scipy.linalg.lapack import zgtsv
+
     per = min(z.size, max(1, _BLOCK // disc.m))
     lower, upper = disc.joined_off
     x = np.empty((z.size, disc.m), complex)
@@ -392,12 +423,14 @@ def split_statistics(
         raise InputError("split statistics are defined for problems without injection")
 
     disc = _Discretization(model, killing, grid.cell_count)
-    u0 = disc.initial_vector(ic)
+    delta, u0 = disc.start(ic.y)
     y1, obs1 = disc.solve(u0)
     obs2 = disc.solve(y1)[1]
     s0 = float(disc.weights[0] @ u0)  # normalizes away any initial-hat mass defect
-    _, p_killed, p_absorbed = (o / s0 for o in obs1)
-    _, t_killed, t_absorbed = (o / s0 for o in obs2)
+    # the share delta absorbed at t = 0 adds to p_absorbed and to no time
+    _, p_killed, p_absorbed = ((1 - delta) * o / s0 for o in obs1)
+    _, t_killed, t_absorbed = ((1 - delta) * o / s0 for o in obs2)
+    p_absorbed += delta
 
     mean_kill = t_killed / p_killed if p_killed > 0 else math.nan
     mean_abs = t_absorbed / p_absorbed if p_absorbed > 0 else math.nan
@@ -437,7 +470,10 @@ def green_steady(
     if not (0 < source < dom.length):
         raise InputError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
-    g, (_, kill, absorbed) = disc.solve(disc.point_mass(source)[disc.unknowns])
+    delta, rhs = disc.start(source)
+    g, (_, kill, absorbed) = disc.solve(rhs)
+    # the share delta of the source on an absorbing end node is absorbed there
+    g, kill, absorbed = (1 - delta) * g, (1 - delta) * kill, delta + (1 - delta) * absorbed
     ratio = absorbed / kill if kill > 0 else math.inf
     return GreenSteadyResult(disc.x, disc.full(g), absorbed, kill, ratio)
 
@@ -454,6 +490,8 @@ def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) 
     has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
     if not has_absorbing and killing.is_zero:
         raise InputError("decay rate needs an absorbing boundary or nonzero killing")
+    from scipy.linalg import eigvalsh_tridiagonal
+
     disc = _Discretization(model, killing, cell_count)
     # S A S^-1 has off-diagonal sqrt(lower * upper); bisection to full
     # relative accuracy needs the smallest tolerance

@@ -24,7 +24,8 @@ made for that bridge:
   the first whose cumulative probability exceeds u kills (`_KillLaw`);
 - a step with both a kill and an exit (rare) ends with the earlier: the
   crossing time tau = dt V/(1 + V), V inverse Gaussian with mean d0/|d1|
-  and shape d0^2/(2 D dt), against the kill time (the midpoint for spots).
+  and shape d0^2/(2 D dt) (tau = 0 where either underflows), against the
+  kill time (the midpoint for spots).
 
 Ignored within a step: the interaction of a spot or of the killing with a
 reflecting end (x1 is reflected first, and the bridge runs to the reflected
@@ -48,7 +49,11 @@ reduced in worker order, so results are bit-identical for a fixed
 configuration regardless of scheduling.  A multi-worker simulation runs one
 job per worker with trajectories on a pool forked at the first such call
 and reused by every later one in the process (`_run_on_pool`); the outputs
-do not depend on that.  Workers run the module as it was when the pool was
+do not depend on that.  The process pool's modules are imported at that
+first call too, as `scipy.special` is at the first simulation with a spot
+(`_KillLaw`), so `import killdiff` loads neither; the pool is shut down
+when the process that forked it exits, before the interpreter tears its
+modules down.  Workers run the module as it was when the pool was
 forked: a test that monkeypatches the kernel must simulate with one worker,
 which runs in the calling process.
 
@@ -84,10 +89,9 @@ matrix instead of 63 million).
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
@@ -164,9 +168,15 @@ def _crossing_time(rng: np.random.Generator, d0, d1, D: float, dt: float) -> np.
     """First time, within a step dt, that a Brownian bridge reaches a point
     at distance d0 > 0 from its start and signed distance d1 from its end,
     given that it does: tau / (dt - tau) is inverse Gaussian with mean
-    d0/|d1| and shape d0^2/(2 D dt)."""
-    v = rng.wald(d0 / np.abs(d1), d0 * d0 / (2 * D * dt))
-    return dt * v / (1 + v)
+    d0/|d1| and shape d0^2/(2 D dt).  Where either underflows to 0, d0 is a
+    subnormal distance or nearly one, the crossing is at tau = 0 and nothing
+    is drawn for it."""
+    mean, shape = d0 / np.abs(d1), d0 * d0 / (2 * D * dt)
+    drawn = (mean > 0) & (shape > 0)
+    tau = np.zeros(drawn.size)
+    v = rng.wald(mean[drawn], shape[drawn])
+    tau[drawn] = dt * v / (1 + v)
+    return tau
 
 
 def _bridge_point(rng: np.random.Generator, x0, x1, s, D: float, dt: float) -> np.ndarray:
@@ -402,9 +412,10 @@ def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fate, t_end, x_end
 
 
-# the worker pool of this process, as (pid that forked it, workers, pool):
-# forked at the first multi-worker simulation and kept for the later ones
-_pool: Optional[Tuple[int, int, ProcessPoolExecutor]] = None
+# the worker pool of this process, as (pid that forked it, workers,
+# ProcessPoolExecutor): forked at the first multi-worker simulation and kept
+# for the later ones
+_pool: Optional[tuple] = None
 
 
 def _run_on_pool(jobs: list) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -412,6 +423,9 @@ def _run_on_pool(jobs: list) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     The pool is replaced in a process that did not fork it (a fork of this
     one), for another number of jobs, and after it broke: a worker that
     died takes the map down with BrokenProcessPool, which is raised."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _pool
     key = (os.getpid(), len(jobs))
     if _pool is None or _pool[:2] != key:
@@ -423,6 +437,15 @@ def _run_on_pool(jobs: list) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     except BrokenProcessPool:
         _pool = None
         raise
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut down the pool this process forked.  Left to the interpreter's
+    teardown, the executor can be collected after its module's globals are
+    cleared, and its weakref callback then fails on them."""
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
 
 
 def simulate_outcomes(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -769,3 +770,48 @@ def test_in_process_output_is_a_fresh_process_output(tmp_path, capsys, argv, nam
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def fresh_python(script, *args, cwd=None):
+    """Run a script in a fresh interpreter on this killdiff."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args], capture_output=True, text=True,
+        timeout=120, cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def test_each_command_loads_only_the_scipy_it_calls(tmp_path):
+    done = fresh_python("""
+        import os, sys
+        from killdiff.cli import main
+        out, scenarios = sys.argv[1:]
+        def run(command, ini, *flags):
+            assert main(["--out", out, command, os.path.join(scenarios, ini), *flags]) == 0
+        def scipy():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+        run("analytic", "dirac_reference.ini")
+        run("mc", "free_interval.ini")  # one worker, no spot
+        assert not scipy(), scipy()
+        run("split", "dirac_reference.ini", "--method", "pde")
+        assert "scipy.linalg" in sys.modules
+    """, str(tmp_path), SCENARIOS)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_two_worker_run_exits_with_empty_stderr(tmp_path):
+    # a test runner keeps the module alive past the collection at exit, where
+    # a pool not shut down fails in its executor's weakref callback once
+    # `concurrent.futures.process` is torn down
+    (tmp_path / "test_two_workers.py").write_text(textwrap.dedent(f"""
+        from killdiff.cli import main
+        def test_two_workers(tmp_path):
+            ini = {os.path.join(SCENARIOS, "free_interval.ini")!r}
+            assert main(["--workers", "2", "--out", str(tmp_path), "mc", ini]) == 0
+    """))
+    done = fresh_python(
+        "import sys, pytest; sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', 'test_two_workers.py']))",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stderr == ""

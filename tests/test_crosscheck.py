@@ -205,8 +205,12 @@ def test_adjudication_refuses_an_oracle_that_does_not_converge(monkeypatch):
 
 
 def test_import_killdiff_does_not_load_the_derivative():
+    # nor any other SciPy module or the process pool: each loads at its first use
     src = os.path.dirname(os.path.dirname(crosscheck.__file__))
-    code = "import sys, killdiff; sys.exit('scipy.differentiate' in sys.modules)"
+    code = (
+        "import sys, killdiff; sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'multiprocessing') or m == 'concurrent.futures.process') or None)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),

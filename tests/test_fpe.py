@@ -113,6 +113,51 @@ def test_split_statistics_is_the_infinite_horizon_sum_of_the_scheme():
     assert stats.p_absorbed == pytest.approx(np.trapezoid(s.boundary_flux, dx=dt), abs=1e-11)
 
 
+@pytest.mark.parametrize("y", [0.1, PI - 0.1], ids=["left", "right"])
+def test_a_start_in_an_end_cell_is_absorbed_at_once_in_part(y):
+    # 10 cells on [0, pi]: the hat weights put delta = 0.68 of the start on
+    # the absorbing end node, which holds no unknown, so `evolve` starts from
+    # S(0) = 1 - delta.  The split is delta absorbed at t = 0 plus the
+    # integrals of `evolve`'s rates.  The flux falls on the scale dx^2 / D
+    # from t = 0, so each integral is the trapezoid rule at dt and dt / 2,
+    # extrapolated (Richardson); it missed by 0.05 at dt 1e-3 on 100 cells
+    model, killing = interval(PI), KillingMeasure.dirac([(2.0, 1.0)])
+    ic = InitialCondition.point(y)
+    stats = fpe.split_statistics(model, killing, ic, GridSpec(10, 1e-3, 1.0))
+    sums = []
+    for dt in (2e-4, 1e-4):
+        s = fpe.evolve(model, killing, ic, GridSpec(10, dt, 30.0)).series
+        assert abs(s.survival[-1]) < 1e-12
+        rates = (s.kill_rate, s.boundary_flux, s.times * s.boundary_flux)
+        sums.append([np.trapezoid(r, dx=dt) for r in rates])
+    killed, absorbed, absorbed_time = ((4 * fine - coarse) / 3 for coarse, fine in zip(*sums))
+    delta = 1 - s.survival[0]
+    assert delta == pytest.approx(0.68, abs=0.01)
+    assert stats.p_killed == pytest.approx(killed, abs=1e-11)
+    assert stats.p_absorbed == pytest.approx(delta + absorbed, abs=1e-11)
+    # the share absorbed at t = 0 adds no time
+    assert stats.mean_absorb_time * stats.p_absorbed == pytest.approx(absorbed_time, abs=1e-11)
+
+
+def test_a_start_a_subnormal_distance_from_an_absorbing_end_is_absorbed():
+    # the hat weights leave 1e-318 of the start on the unknowns: solved as a
+    # unit mass, it cannot underflow into a failed balance
+    stats = fpe.split_statistics(
+        interval(1.0), KillingMeasure.uniform(1.0), InitialCondition.point(1e-320), GridSpec(50, 1e-3, 1.0)
+    )
+    assert (stats.p_killed, stats.p_absorbed, stats.mean_absorb_time) == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("length", [1e308, 1e-300])
+def test_a_length_whose_operator_leaves_the_doubles_is_refused(length):
+    # D / dx^2 overflows at 1e308 and dx^2 underflows to 0 at 1e-300
+    model, ic = interval(length), InitialCondition.point(length / 2)
+    with pytest.raises(InputError, match=r"D/dx\^2 outside the doubles"):
+        fpe.split_statistics(model, KillingMeasure.uniform(1.0), ic, GridSpec(100, 1e-3, 1.0))
+    with pytest.raises(InputError, match=r"D/dx\^2 outside the doubles"):
+        fpe.evolve(model, KillingMeasure.uniform(1.0), ic, GridSpec(100, 1e-3, 1.0))
+
+
 def test_split_statistics_wide_interval_absorb_time():
     # the few absorbed particles leave late, long after most are killed;
     # a time-stepped sum needs t_max = 60 to reach this value
@@ -164,6 +209,15 @@ def test_green_steady_reference_ratio():
     )
     assert gr.ratio_rinf == pytest.approx(18.0, rel=1e-6)
     assert gr.absorbed_flux + gr.kill_integral == pytest.approx(1.0, abs=1e-9)
+
+
+def test_green_source_in_an_end_cell():
+    # the source's hat weight 0.95 on the absorbing end node is absorbed
+    # there; exactly, kill = g(0.5) = (0.5 * 0.001) / (1 + 0.25) and
+    # ratio_rinf = 0.9996 / 0.0004, which the scheme meets on any grid
+    gr = fpe.green_steady(interval(1.0), KillingMeasure.dirac([(0.5, 1.0)]), 0.999, GridSpec(50, 1e-3, 1.0))
+    assert gr.ratio_rinf == pytest.approx(2499.0, rel=1e-9)
+    assert gr.absorbed_flux + gr.kill_integral == pytest.approx(1.0, abs=1e-12)
 
 
 def test_green_steady_agrees_with_time_integrated_route():
@@ -344,7 +398,7 @@ def test_an_exactly_singular_system_is_refused():
     assert disc.neg_lu[-1] > 0
     assert np.isnan(fpe._lu_solve(disc.neg_lu, np.ones(disc.m))).all()
     with pytest.raises(InputError, match=r"\(not finite\)"):
-        disc.solve(disc.initial_vector(InitialCondition.point(0.5)))
+        disc.solve(disc.start(0.5)[1])
 
 
 # 199 and 200 unknowns: _BLOCK // m = 20 systems a block, so 25 nodes end in
@@ -359,7 +413,7 @@ def test_resolvent_is_a_dense_solve_of_each_node(right, cells, rules):
     model = interval(1.0, "absorbing", right, drift=3.0, phi=0.5)
     disc = fpe._Discretization(model, KillingMeasure.dirac([(0.43, 2.0)]), cells)
     assert disc.source.any() == (right == "injection")
-    u0 = disc.initial_vector(InitialCondition.point(0.3))
+    u0 = disc.start(0.3)[1]
     A = dense(disc.lower, disc.diag, disc.upper)
     for nodes in rules:
         u = fpe._STEP / nodes * np.arange(nodes + 1)  # `_contour`'s points at t0 = 0.01
@@ -382,7 +436,8 @@ def exponential_reference(model, killing, ic, grid, steps):
     a = np.zeros((disc.m + 1, disc.m + 1))
     a[:-1, :-1] = dense(disc.lower, disc.diag, disc.upper)
     a[:-1, -1] = disc.source
-    z = np.append(disc.initial_vector(ic), 1.0)
+    delta, u0 = disc.start(ic.y)
+    z = np.append((1 - delta) * u0, 1.0)
     states, last, gaps = {}, 0, {}
     for n in steps:
         if n > last:

@@ -490,8 +490,13 @@ def _reference_worker(args):
             if both.any():
                 d0 = np.where(left, x0, L - x0)[both]
                 d1 = np.where(left, x1, L - x1)[both]
-                v = rng.wald(d0 / np.abs(d1), d0 * d0 / (2 * D * dt))
-                tau = dt * v / (1 + v)
+                mean, shape = d0 / np.abs(d1), d0 * d0 / (2 * D * dt)
+                # where either underflows (a start a subnormal distance
+                # from the end), the crossing is at 0 and nothing is drawn
+                drawn = (mean > 0) & (shape > 0)
+                tau = np.zeros(d0.size)
+                v = rng.wald(mean[drawn], shape[drawn])
+                tau[drawn] = dt * v / (1 + v)
                 killed[both] = s[both] < tau
             if killed.any():
                 pos = sites[source[killed]]
@@ -580,6 +585,10 @@ DRAW_FOR_DRAW = [
     # a first step that drifts 9.6 away from a start next to an end: the step's
     # start, not its end, keeps that end in reach
     pytest.param(40.0, 0.01, "absorbing", "absorbing", KillingMeasure(), 120.0, 0.08, id="drift-away"),
+    # a start a subnormal distance from an end: every trajectory exits in the
+    # first step, and the kills in it tie with an exit whose crossing time
+    # has a shape d0^2 / (2 D dt) that underflows to 0
+    pytest.param(1.0, 1e-200, "absorbing", "absorbing", KillingMeasure.uniform(1.0), 0.0, 0.01, id="subnormal-start"),
 ]
 
 
@@ -599,6 +608,13 @@ def _reference_outcomes(model, killing, y, config, counts):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
+@pytest.mark.parametrize("length,y", [(1.0, 1e-200), (1e-300, 5e-301)])
+def test_a_start_a_subnormal_distance_from_an_end_is_absorbed(length, y):
+    # the crossing of a kill/exit tie is at tau = 0, before any kill time
+    stats = montecarlo.simulate_split(interval(length), KillingMeasure.uniform(1.0), y, cfg(dt=0.01))
+    assert (stats.p_killed, stats.p_absorbed) == (0.0, 1.0)
+
+
 def test_erfcx_is_imported_by_a_spot_simulation_only():
     script = textwrap.dedent("""
         import sys
@@ -610,6 +626,7 @@ def test_erfcx_is_imported_by_a_spot_simulation_only():
         assert "scipy.special" not in sys.modules
         montecarlo.simulate_outcomes(interval(1.0), KillingMeasure.dirac([(0.5, 2.0)]), 0.4, config)
         assert "scipy.special" in sys.modules
+        assert "scipy.linalg" not in sys.modules
     """)
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     done = subprocess.run(
