@@ -48,14 +48,16 @@ multiples of `mc_dt`), the kill-location histogram (skipped when nothing
 was killed) and the split from it.
 
 `[initial] y` is the point every route starts from; no other initial
-condition exists.  A sweep edits one field of the measure and keeps the
-rest: `sweep --param v0` sets the one rate and keeps the spots, so it
-refuses a measure with breakpoints; `sweep --param spot_position` moves the
-one spot and keeps the rate, so it refuses any other number of spots.
-`sweep --param y` refuses a steady scenario, which has no start point.
-`pde --stride` sets the steps whose survival `pde` computes and writes:
-every stride-th (default 10), from t = 0.  `mc --points` and `pde --stride`
-must be positive integers.
+condition exists.  An injection end reflects that particle on every route;
+its inflow enters `pde` time evolution and the steady solves alone.  An
+absorbed/killed ratio is inf when nothing is killed.  A sweep edits one
+field of the measure and keeps the rest: `sweep --param v0` sets the one
+rate and keeps the spots, so it refuses a measure with breakpoints;
+`sweep --param spot_position` moves the one spot and keeps the rate, so it
+refuses any other number of spots.  `sweep --param y` refuses a steady
+scenario, which has no start point.  `pde --stride` sets the steps whose
+survival `pde` computes and writes: every stride-th (default 10), from
+t = 0.  `mc --points` and `pde --stride` must be positive integers.
 
 `main` may be called any number of times in one process; each call
 parses its own arguments against the one parser `build_parser` builds.
@@ -292,8 +294,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> List[Table]:
         raise InputError(f"bad --values: {exc}") from exc
     if not values:
         raise InputError("--values is empty")
-    dom = cfg.model.domain
-    steady = (dom.left.kind, dom.right.kind).count(BoundaryKind.INJECTION) == 1
+    steady = BoundaryKind.INJECTION in cfg.model.domain.ends
     rows = []
     for v in values:
         try:

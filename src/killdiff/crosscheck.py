@@ -167,12 +167,12 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
     if model.drift != 0:
         return {}
     dom = model.domain
-    kinds = (dom.left.kind, dom.right.kind)
+    kinds = set(dom.ends)
     D, L = model.diffusion, dom.length
     # zero killing first: a spot of strength 0 is no single point killing
     uniform = not killing.is_zero and len(killing.rates) == 1 and not killing.spots
     one_spot = not killing.is_zero and len(killing.spots) == 1 and not any(killing.rates)
-    if kinds.count(BoundaryKind.INJECTION) == 1 and kinds.count(BoundaryKind.ABSORBING) == 1:
+    if dom.is_channel:
         if uniform:
             return {"ratio_rs": analytic.ratio_rs_uniform(D, killing.rates[0], L)}
         if one_spot:
@@ -180,12 +180,12 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
             d_abs = xs if dom.left.kind is BoundaryKind.ABSORBING else L - xs
             return {"ratio_rs": analytic.ratio_rs_dirac(D, ks, d_abs)}
         return {}
-    if set(kinds) == {BoundaryKind.REFLECTING} and uniform:
+    if kinds == {BoundaryKind.REFLECTING} and uniform:
         return {
             "p_killed": 1.0, "p_absorbed": 0.0,
             "mean_kill_time": 1.0 / killing.rates[0], "ratio_rinf": 0.0,
         }
-    if set(kinds) != {BoundaryKind.ABSORBING}:
+    if kinds != {BoundaryKind.ABSORBING}:
         return {}
     if killing.is_zero:
         return {
@@ -565,9 +565,6 @@ def adjudicate_conditional_mfpt(
             if abs(v - oracle) <= tol * max(1.0, abs(oracle)):
                 hits[name] += 1
         table.append((x1, y, V, oracle, values))
-    n = len(points)
-    winners = [name for name, h in hits.items() if h >= 0.9 * n]
     # degenerate combos can tie at V=0 only; require a full-grid winner
-    exact = [name for name in winners if hits[name] == n]
-    verdict = exact[0] if len(exact) >= 1 else "inconclusive"
-    return MfptVerdict(verdict, tuple(table))
+    exact = [name for name, h in hits.items() if h == len(points)]
+    return MfptVerdict(exact[0] if exact else "inconclusive", tuple(table))

@@ -48,6 +48,7 @@ from .model import (
     KillingMeasure,
     SplitStatistics,
     SteadyStateSolution,
+    require_terminating,
     require_valid,
 )
 
@@ -413,15 +414,11 @@ def split_statistics(
     [0, inf) of e^(At) u0 and t e^(At) u0, so only grid.cell_count matters;
     dt and t_max do not.  The kill and absorption rates of y1 give the split
     probabilities, those of y2 the time moments; p_killed + p_absorbed =
-    S(0) holds to round-off, or the solve is refused, and is normalized to 1."""
+    S(0) holds to round-off, or the solve is refused, and is normalized to 1.
+    An injection end reflects the particle, as on every route: its inflow
+    enters `evolve` and the steady solves alone."""
     require_valid(model, killing, ic)
-    dom = model.domain
-    has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
-    if not has_absorbing and killing.is_zero:
-        raise InputError("split statistics need an absorbing boundary or nonzero killing")
-    if BoundaryKind.INJECTION in (dom.left.kind, dom.right.kind):
-        raise InputError("split statistics are defined for problems without injection")
-
+    require_terminating(model, killing)
     disc = _Discretization(model, killing, grid.cell_count)
     delta, u0 = disc.start(ic.y)
     y1, obs1 = disc.solve(u0)
@@ -445,8 +442,7 @@ def steady_state(
     absorption at the other; ratio_rs = absorbed flux / kill integral."""
     require_valid(model, killing)
     dom = model.domain
-    kinds = (dom.left.kind, dom.right.kind)
-    if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
+    if not dom.is_channel:
         raise InputError("steady state needs exactly one injection and one absorbing end")
     disc = _Discretization(model, killing, grid.cell_count)
     u, (_, kill, absorbed) = disc.solve(disc.source)
@@ -463,12 +459,9 @@ def green_steady(
 ) -> GreenSteadyResult:
     """Steady Green function for a unit point source with both ends
     absorbing; ratio_rinf = boundary flux / kill integral."""
-    require_valid(model, killing)
-    dom = model.domain
-    if dom.left.kind is not BoundaryKind.ABSORBING or dom.right.kind is not BoundaryKind.ABSORBING:
+    require_valid(model, killing, InitialCondition(source))
+    if set(model.domain.ends) != {BoundaryKind.ABSORBING}:
         raise InputError("green_steady needs both ends absorbing")
-    if not (0 < source < dom.length):
-        raise InputError("source must be strictly inside the interval")
     disc = _Discretization(model, killing, grid.cell_count)
     delta, rhs = disc.start(source)
     g, (_, kill, absorbed) = disc.solve(rhs)
@@ -486,10 +479,7 @@ def decay_rate(model: DiffusionModel, killing: KillingMeasure, cell_count: int) 
     is refused: drift holding mass against an undrained end makes it
     small like exp(-|a| L / D)."""
     require_valid(model, killing)
-    dom = model.domain
-    has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
-    if not has_absorbing and killing.is_zero:
-        raise InputError("decay rate needs an absorbing boundary or nonzero killing")
+    require_terminating(model, killing)
     from scipy.linalg import eigvalsh_tridiagonal
 
     disc = _Discretization(model, killing, cell_count)

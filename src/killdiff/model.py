@@ -40,6 +40,15 @@ class Domain1D:
     left: BoundaryBehavior
     right: BoundaryBehavior
 
+    @property
+    def ends(self) -> Tuple[BoundaryKind, BoundaryKind]:
+        return self.left.kind, self.right.kind
+
+    @property
+    def is_channel(self) -> bool:
+        """One injection end and one absorbing end: the steady problem."""
+        return set(self.ends) == {BoundaryKind.INJECTION, BoundaryKind.ABSORBING}
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -87,7 +96,7 @@ class KillingMeasure:
     @property
     def kind(self) -> KillingKind:
         """The constructor that states this measure.  Kept for `bench/`
-        until its next change (ROADMAP item 2); a rate mixed with spots has
+        until its next change (ROADMAP item 4); a rate mixed with spots has
         none."""
         if self.is_zero:
             return KillingKind.ZERO
@@ -100,7 +109,7 @@ class KillingMeasure:
     @property
     def v0(self) -> float:
         """The rate of a one-piece measure, else 0.  Kept for `bench/`
-        until its next change (ROADMAP item 2)."""
+        until its next change (ROADMAP item 4)."""
         return self.rates[0] if len(self.rates) == 1 else 0.0
 
     def smooth_rate(self, x: np.ndarray) -> np.ndarray:
@@ -207,6 +216,12 @@ def require_valid(model: DiffusionModel, killing: KillingMeasure, ic: Optional[I
     violations = validate_problem(model, killing, ic)
     if violations:
         raise InputError("invalid problem: " + "; ".join(violations))
+
+
+def require_terminating(model: DiffusionModel, killing: KillingMeasure) -> None:
+    """Refuse a problem whose particles are never killed or absorbed."""
+    if BoundaryKind.ABSORBING not in model.domain.ends and killing.is_zero:
+        raise InputError("particles never terminate without an absorbing boundary or nonzero killing")
 
 
 def interval(

@@ -104,6 +104,7 @@ from .model import (
     InputError,
     KillingMeasure,
     SplitStatistics,
+    require_terminating,
     require_valid,
 )
 from .numerics import AccuracyError
@@ -458,9 +459,7 @@ def simulate_outcomes(
         raise InputError("start position outside the interval")
     if (y, BoundaryKind.ABSORBING) in ((0, dom.left.kind), (dom.length, dom.right.kind)):
         raise InputError("start position on an absorbing end")
-    has_absorbing = BoundaryKind.ABSORBING in (dom.left.kind, dom.right.kind)
-    if not has_absorbing and killing.is_zero:
-        raise InputError("trajectories would never terminate")
+    require_terminating(model, killing)
 
     counts = [cfg.n_trajectories // cfg.workers] * cfg.workers
     for w in range(cfg.n_trajectories % cfg.workers):
@@ -523,20 +522,17 @@ def kill_location_histogram(out: TrajectoryOutcomes, length: float) -> Tuple[np.
 def simulate_rs(
     model: DiffusionModel, killing: KillingMeasure, cfg: McConfig
 ) -> Tuple[float, float]:
-    """Steady-injection absorbed/killed ratio with its standard error.
+    """Steady-injection absorbed/killed ratio with its standard error, inf
+    when nothing is killed.
 
     Each trajectory starts at the injection end, which reflects the live
     particle as every end that is not absorbing does; the fate split of
     injected particles reproduces the steady flux ratio by linearity."""
     dom = model.domain
-    kinds = (dom.left.kind, dom.right.kind)
-    if kinds.count(BoundaryKind.INJECTION) != 1 or kinds.count(BoundaryKind.ABSORBING) != 1:
+    if not dom.is_channel:
         raise InputError("R_s simulation needs exactly one injection and one absorbing end")
     y0 = 0.0 if dom.left.kind is BoundaryKind.INJECTION else dom.length
-    out = simulate_outcomes(model, killing, y0, cfg)
-    if not out.killed.any():
-        raise AccuracyError("no kill events; the ratio estimator is undefined")
-    stats = split_from_outcomes(out)
+    stats = simulate_split(model, killing, y0, cfg)
     return stats.ratio_rinf, stats.ratio_rinf_se
 
 

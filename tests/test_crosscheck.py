@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from killdiff import analytic, crosscheck, montecarlo
 from killdiff.analytic import PI
 from killdiff.crosscheck import Scenario, default_matrix, run_matrix
-from killdiff.fpe import GridSpec, split_statistics
+from killdiff.fpe import GridSpec, decay_rate, split_statistics, steady_state
 from killdiff.model import InitialCondition, InputError, KillingMeasure, interval, validate_problem
 from killdiff.montecarlo import McConfig
 from killdiff.numerics import AccuracyError
@@ -385,9 +385,10 @@ def _outcome(call):
 
 
 ENDS = ("absorbing", "reflecting", "injection")
+END_PAIRS = [(a, b) for a in ENDS for b in ENDS if a != b or a != "injection"]
 
 
-@pytest.mark.parametrize("left,right", [(a, b) for a in ENDS for b in ENDS if a != b or a != "injection"])
+@pytest.mark.parametrize("left,right", END_PAIRS)
 @pytest.mark.parametrize(
     "killing",
     [
@@ -409,3 +410,39 @@ def test_a_measure_that_kills_nowhere_is_zero_killing(killing, left, right):
         lambda k: montecarlo.simulate_outcomes(model, k, y, config),
     ):
         np.testing.assert_equal(_outcome(lambda: route(killing)), _outcome(lambda: route(zero)))
+
+
+@pytest.mark.parametrize("left,right", END_PAIRS)
+@pytest.mark.parametrize(
+    "killing",
+    [KillingMeasure(), KillingMeasure.uniform(1.0), KillingMeasure.dirac([(0.4, 2.0)])],
+    ids=["zero", "rate", "spot"],
+)
+def test_pde_and_mc_accept_and_refuse_alike(killing, left, right):
+    # the split, the steady ratio and termination: each route pair answers
+    # the same problems, and an injection end reflects a point start on both
+    model, y = interval(1.0, left, right, phi=1.0), 0.3
+    ic, grid = InitialCondition.point(y), GridSpec(50, 1e-3, 1.0)
+    config = McConfig(dt=1e-2, n_trajectories=50, seed=4)
+    pairs = {
+        "split": (
+            lambda m: split_statistics(m, killing, ic, grid),
+            lambda m: montecarlo.simulate_split(m, killing, y, config),
+        ),
+        "steady": (
+            lambda m: steady_state(m, killing, grid).ratio_rs,
+            lambda m: montecarlo.simulate_rs(m, killing, config)[0],
+        ),
+        "termination": (
+            lambda m: decay_rate(m, killing, grid.cell_count),
+            lambda m: montecarlo.simulate_outcomes(m, killing, y, config),
+        ),
+    }
+    for name, (pde, mc) in pairs.items():
+        a, b = _outcome(lambda: pde(model)), _outcome(lambda: mc(model))
+        assert isinstance(a, str) == isinstance(b, str), (name, a, b)
+    if model.domain.is_channel and killing.is_zero:
+        assert pairs["steady"][0](model) == pairs["steady"][1](model) == math.inf
+    twin = interval(1.0, *("reflecting" if end == "injection" else end for end in (left, right)))
+    for route in (pairs["split"][0], pairs["termination"][1]):
+        np.testing.assert_equal(_outcome(lambda: route(model)), _outcome(lambda: route(twin)))

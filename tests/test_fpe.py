@@ -166,14 +166,6 @@ def test_split_statistics_wide_interval_absorb_time():
     assert stats.mean_absorb_time == pytest.approx(9.98752, abs=1e-5)
 
 
-def test_split_statistics_rejects_injection():
-    model = interval(1.0, "absorbing", "injection", phi=1.0)
-    with pytest.raises(ValueError, match="injection"):
-        fpe.split_statistics(
-            model, KillingMeasure.uniform(1.0), InitialCondition.point(0.5), GridSpec(100, 1e-3, 1.0)
-        )
-
-
 def test_steady_state_flux_balance_and_ratio():
     model = interval(1.0, "absorbing", "injection", phi=1.0)
     sol = fpe.steady_state(model, KillingMeasure.uniform(4.0), GridSpec(800, 1e-3, 1.0))
