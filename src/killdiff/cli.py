@@ -1,27 +1,8 @@
-"""Command-line interface: scenario config parsing, one subcommand per
-solver, parameter sweeps, and the cross-validation run.
+"""Command-line interface: one subcommand per solver, parameter sweeps,
+and the cross-validation run.
 
-Scenario configs are INI files with sections:
-
-    [domain]     length, left, right (absorbing|reflecting|injection), phi
-    [diffusion]  d, drift
-    [killing]    rates, breakpoints, spots = "x:strength, x:strength"
-    [initial]    y
-    [method]     method (analytic|pde|mc|all), cells, dt, t_max,
-                 mc_dt, mc_n, mc_seed
-    [output]     dir
-
-`[killing]` states the one killing measure, `model.KillingMeasure`: a rate
-that is constant between breakpoints (one more rate than breakpoints;
-default one rate, 0, and no breakpoints) plus point spots (default none).
-With no positive rate or strength it is zero killing.  Unknown sections
-(`[DEFAULT]` among them) or keys, and numbers that are not finite, are
-rejected.  The file is read as UTF-8, and values as written: a `%` is a
-plain character, not interpolation.  All quantities are dimensionless;
-supply consistent units (d in length^2/time, rates in 1/time, spot
-strengths in length/time).  `dt` and `t_max` set the reported times of
-`pde` evolution only: `split --method pde` is the exact infinite-horizon
-integral of the semi-discrete solution and depends on `cells` alone.
+A scenario config is an INI file in the format that `scenario` reads and
+documents.
 
 The MC worker count is `--workers` (a positive integer, default 1).
 
@@ -54,8 +35,11 @@ absorbed/killed ratio is inf when nothing is killed.  A sweep edits one
 field of the measure and keeps the rest: `sweep --param v0` sets the one
 rate and keeps the spots, so it refuses a measure with breakpoints;
 `sweep --param spot_position` moves the one spot and keeps the rate, so it
-refuses any other number of spots.  `sweep --param y` refuses a steady
-scenario, which has no start point.  `pde --stride` sets the steps whose
+refuses any other number of spots.  A sweep is steady when the scenario
+has one injection end and one absorbing end: it writes ratio_rs.  Any
+other sweep writes at each value the ratio_rinf and p_killed of the rows
+`split` writes.  `sweep --param y` refuses a steady scenario, which has no
+start point.  `pde --stride` sets the steps whose
 survival `pde` computes and writes: every stride-th (default 10), from
 t = 0.  `mc --points` and `pde --stride` must be positive integers.
 
@@ -77,115 +61,16 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
 from . import crosscheck, fpe, montecarlo
-from .fpe import GridSpec
-from .model import (
-    BoundaryKind,
-    DiffusionModel,
-    InitialCondition,
-    InputError,
-    KillingMeasure,
-    SplitStatistics,
-    interval,
-    require_valid,
-)
-from .montecarlo import McConfig
-
-
-_SCHEMA: Dict[str, Tuple[str, ...]] = {
-    "domain": ("length", "left", "right", "phi"),
-    "diffusion": ("d", "drift"),
-    "killing": ("rates", "breakpoints", "spots"),
-    "initial": ("y",),
-    "method": (
-        "method", "cells", "dt", "t_max", "mc_dt", "mc_n", "mc_seed",
-    ),
-    "output": ("dir",),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    model: DiffusionModel
-    killing: KillingMeasure
-    y: float
-    method: str
-    grid: GridSpec
-    mc: McConfig
-    out_dir: str
-
-
-def _floats(text: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def parse_config(path: str) -> ScenarioConfig:
-    # no header can name the empty section, so a [DEFAULT] section is an
-    # ordinary one, refused as unknown like any other
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        if not cp.read(path, encoding="utf-8"):
-            raise InputError(f"cannot read config file {path!r}")
-        for section in cp.sections():
-            if section not in _SCHEMA:
-                raise InputError(f"unknown section [{section}]")
-            for key in cp[section]:
-                if key not in _SCHEMA[section]:
-                    raise InputError(f"unknown key {key!r} in section [{section}]")
-        return _build_config(cp)
-    except (ValueError, configparser.Error) as exc:  # a UnicodeDecodeError is a ValueError
-        raise InputError(str(exc)) from exc
-
-
-def _build_config(cp: configparser.ConfigParser) -> ScenarioConfig:
-    if "domain" not in cp:
-        raise InputError("missing required section [domain]")
-    length = cp.getfloat("domain", "length")
-    model = interval(
-        length,
-        cp.get("domain", "left", fallback="absorbing"),
-        cp.get("domain", "right", fallback="absorbing"),
-        diffusion=cp.getfloat("diffusion", "d", fallback=1.0),
-        drift=cp.getfloat("diffusion", "drift", fallback=0.0),
-        phi=cp.getfloat("domain", "phi", fallback=0.0),
-    )
-
-    spots = []
-    for item in filter(str.strip, cp.get("killing", "spots", fallback="").split(",")):
-        pos, _, strength = item.partition(":")
-        if not strength:
-            raise InputError(f"spot {item.strip()!r} must be 'position:strength'")
-        spots.append((float(pos), float(strength)))
-    killing = KillingMeasure(
-        _floats(cp.get("killing", "breakpoints", fallback="")),
-        _floats(cp.get("killing", "rates", fallback="0")),
-        tuple(spots),
-    )
-    y = cp.getfloat("initial", "y", fallback=length / 2)
-
-    method = cp.get("method", "method", fallback="all")
-    if method not in ("analytic", "pde", "mc", "all"):
-        raise InputError(f"unknown method {method!r}")
-    grid = GridSpec(
-        cp.getint("method", "cells", fallback=200),
-        cp.getfloat("method", "dt", fallback=1e-3),
-        cp.getfloat("method", "t_max", fallback=10.0),
-    )
-    mc = McConfig(
-        dt=cp.getfloat("method", "mc_dt", fallback=1e-3),
-        n_trajectories=cp.getint("method", "mc_n", fallback=10000),
-        seed=cp.getint("method", "mc_seed", fallback=0),
-    )
-    require_valid(model, killing, InitialCondition.point(y))
-    return ScenarioConfig(model, killing, y, method, grid, mc, cp.get("output", "dir", fallback="."))
+from .model import InitialCondition, InputError, SplitStatistics, require_valid
+from .scenario import ScenarioConfig, _floats, parse_config
 
 
 def _split_rows(cfg: ScenarioConfig) -> List[Tuple[str, SplitStatistics]]:
@@ -294,7 +179,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> List[Table]:
         raise InputError(f"bad --values: {exc}") from exc
     if not values:
         raise InputError("--values is empty")
-    steady = BoundaryKind.INJECTION in cfg.model.domain.ends
+    steady = cfg.model.domain.is_channel
     rows = []
     for v in values:
         try:

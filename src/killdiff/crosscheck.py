@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+import os
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -23,7 +24,6 @@ from .model import (
     InitialCondition,
     KillingMeasure,
     SplitStatistics,
-    interval,
 )
 from .montecarlo import McConfig, simulate_rs, simulate_split
 from .numerics import AccuracyError
@@ -213,11 +213,37 @@ def closed_forms(model: DiffusionModel, killing: KillingMeasure, y: float) -> Di
     return forms
 
 
-def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
-    """Twelve scenarios spanning zero, uniform, point, two-spot and piecewise
-    killing, steady injection, the steady Green-function ratio, and drift.
+# The matrix in report order: (scenario name, file in scenarios/, kind,
+# mc_bias).  Row i (from 1) draws its MC from seed + i.
+_MATRIX = (
+    ("zero-absorbing", "free_interval", "split", 0.02),
+    ("uniform-wide", "uniform_wide", "split", 0.01),
+    ("uniform-reflecting", "uniform_reflecting", "split", 0.01),
+    ("uniform-absorbing", "uniform_absorbing", "split", 0.01),
+    ("dirac-reference", "dirac_reference", "split", 0.02),
+    ("dirac-unit", "dirac_unit", "split", 0.02),
+    ("two-spots", "two_spots", "green", 0.1),
+    ("piecewise", "piecewise_rates", "split", 0.01),
+    ("steady-dirac", "steady_dirac", "steady", 0.05),
+    ("steady-uniform", "steady_uniform", "steady", 0.01),
+    ("green-rinf", "green_rinf", "green", 0.02),
+    ("drift", "drift", "split", 0.01),
+)
 
-    Each scenario's MC dt is the largest of 2, 4 or 8 times the step it
+_SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scenarios")
+
+
+def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
+    """The twelve crosscheck scenarios in report order, spanning zero,
+    uniform, point, two-spot and piecewise killing, steady injection, the
+    steady Green-function ratio, and drift.  Each takes its problem, grid,
+    MC step and trajectory count from one file of the package's
+    `scenarios/`, read by `scenario.parse_config`, so editing that file
+    changes the matrix.  `_MATRIX` adds the name, kind and mc_bias; the MC
+    runs on `workers` workers from seed + the row number, not the file's
+    mc_seed.
+
+    Each scenario's MC dt (its file's mc_dt) is the largest of 2, 4 or 8 times the step it
     had while mean times were taken at step ends (1e-3...1e-2) at which,
     over seeds 1000-1079, the mean z of every MC row of that scenario
     stays within +-0.3.  Where that is less than 8 times (two-spots,
@@ -225,130 +251,14 @@ def default_matrix(seed: int = 0, workers: int = 1) -> List[Scenario]:
     approximations of `montecarlo`: several spots taken as independent, a
     spot that ignores a reflecting end, the midpoint kill time of a
     kill/exit tie."""
+    from .scenario import parse_config  # configparser loads here, not with killdiff
 
-    def mc(dt, n=4000, i=0):
-        return McConfig(dt=dt, n_trajectories=n, seed=seed + i, workers=workers)
-
-    return [
-        Scenario(
-            "zero-absorbing",
-            "split",
-            interval(PI),
-            KillingMeasure(),
-            y=PI / 2,
-            grid=GridSpec(200, 2e-3, 10.0),
-            mc=mc(8e-2, i=1),
-            mc_bias=0.02,
-        ),
-        Scenario(
-            "uniform-wide",
-            "split",
-            interval(40.0),
-            KillingMeasure.uniform(1.0),
-            y=20.0,
-            grid=GridSpec(400, 5e-3, 16.0),
-            mc=mc(8e-2, i=2),
-            mc_bias=0.01,
-        ),
-        Scenario(
-            "uniform-reflecting",
-            "split",
-            interval(1.0, "reflecting", "reflecting"),
-            KillingMeasure.uniform(1.0),
-            y=0.5,
-            grid=GridSpec(64, 2e-3, 16.0),
-            mc=mc(8e-2, i=3),
-            mc_bias=0.01,
-        ),
-        Scenario(
-            "uniform-absorbing",
-            "split",
-            interval(2.0),
-            KillingMeasure.uniform(1.0),
-            y=0.7,
-            grid=GridSpec(200, 1e-3, 8.0),
-            mc=mc(4e-2, i=4),
-            mc_bias=0.01,
-        ),
-        Scenario(
-            "dirac-reference",
-            "split",
-            interval(PI),
-            KillingMeasure.dirac([(2.0, 1.0)]),
-            y=1.0,
-            grid=GridSpec(400, 1e-3, 14.0),
-            mc=mc(8e-2, n=6000, i=5),
-            mc_bias=0.02,
-        ),
-        Scenario(
-            "dirac-unit",
-            "split",
-            interval(1.0),
-            KillingMeasure.dirac([(0.6, 5.0)]),
-            y=0.3,
-            grid=GridSpec(400, 2e-4, 2.0),
-            mc=mc(8e-3, n=6000, i=6),
-            mc_bias=0.02,
-        ),
-        Scenario(
-            "two-spots",
-            "green",
-            interval(1.0),
-            KillingMeasure.dirac([(0.3, 2.0), (0.7, 3.0)]),
-            y=0.5,
-            grid=GridSpec(400, 2e-4, 2.0),
-            mc=mc(8e-3, n=6000, i=7),
-            mc_bias=0.1,
-        ),
-        Scenario(
-            "piecewise",
-            "split",
-            interval(1.0),
-            KillingMeasure.piecewise([0.5], [0.5, 2.0]),
-            y=0.4,
-            grid=GridSpec(200, 2e-4, 2.0),
-            mc=mc(8e-3, i=8),
-            mc_bias=0.01,
-        ),
-        Scenario(
-            "steady-dirac",
-            "steady",
-            interval(1.0, "absorbing", "injection", phi=1.0),
-            KillingMeasure.dirac([(0.4, 2.0)]),
-            grid=GridSpec(800, 1e-3, 1.0),
-            mc=mc(1.6e-2, n=6000, i=9),
-            mc_bias=0.05,
-        ),
-        Scenario(
-            "steady-uniform",
-            "steady",
-            interval(1.0, "absorbing", "injection", phi=1.0),
-            KillingMeasure.uniform(4.0),
-            grid=GridSpec(800, 1e-3, 1.0),
-            mc=mc(3.2e-2, n=6000, i=10),
-            mc_bias=0.01,
-        ),
-        Scenario(
-            "green-rinf",
-            "green",
-            interval(1.0),
-            KillingMeasure.dirac([(0.25, 1.0)]),
-            y=0.75,
-            grid=GridSpec(800, 1e-4, 1.5),
-            mc=mc(8e-3, n=20000, i=11),
-            mc_bias=0.02,
-        ),
-        Scenario(
-            "drift",
-            "split",
-            interval(2.0, diffusion=1.0, drift=0.5),
-            KillingMeasure.uniform(1.0),
-            y=0.7,
-            grid=GridSpec(200, 1e-3, 8.0),
-            mc=mc(4e-2, i=12),
-            mc_bias=0.01,
-        ),
-    ]
+    matrix = []
+    for i, (name, file, kind, mc_bias) in enumerate(_MATRIX, start=1):
+        cfg = parse_config(os.path.join(_SCENARIOS, file + ".ini"))
+        mc = replace(cfg.mc, seed=seed + i, workers=workers)
+        matrix.append(Scenario(name, kind, cfg.model, cfg.killing, cfg.y, cfg.grid, mc, mc_bias))
+    return matrix
 
 
 Route = Dict[str, Tuple[float, float]]  # observable -> (value, sigma)

@@ -9,6 +9,7 @@ import pytest
 
 from killdiff import analytic, crosscheck, fpe, montecarlo
 from killdiff.analytic import PI
+from killdiff.cli import main
 from killdiff.crosscheck import run_matrix
 from killdiff.fpe import GridSpec
 from killdiff.model import InitialCondition, KillingMeasure, interval
@@ -222,3 +223,16 @@ def test_criterion_10_determinism(matrix_report):
     finally:
         os.unlink(path)
     verdict_line(10, "repeated cross-validation runs with the same seed are byte-identical", ok)
+
+
+def test_the_crosscheck_command_writes_the_matrix_report(matrix_report, tmp_path, monkeypatch, capsys):
+    # run from a directory that holds no scenarios/: the matrix reads the
+    # files shipped with the package
+    monkeypatch.chdir(tmp_path)
+    assert main(["--seed", "0", "crosscheck"]) == 0
+    report, report_bytes = matrix_report
+    assert (tmp_path / "report.csv").read_bytes() == report_bytes
+    summary = report.summary() + "\n"
+    assert (tmp_path / "summary.txt").read_text() == summary == capsys.readouterr().out
+    discrepancies = (tmp_path / "discrepancies.csv").read_text().splitlines()
+    assert len(discrepancies) == 1 + len(report.discrepancies)

@@ -515,13 +515,23 @@ y = 0.5
     [
         (["pde", "--mode", "steady"], "dirac_reference.ini", "one injection and one absorbing"),
         (["pde", "--mode", "green"], "steady_uniform.ini", "both ends absorbing"),
-        (["split", "--method", "pde"], None, "absorbing boundary or nonzero killing"),
-        (["mc"], None, "never terminate"),
+        (["split", "--method", "pde"], REFLECTING_ZERO, "absorbing boundary or nonzero killing"),
+        (["mc"], REFLECTING_ZERO, "never terminate"),
+        (["split"], "[killing]\nrates = 1.0\n", "missing required section [domain]"),
+        (["split"], UNIT + "[method]\nmethod = exact\n", "unknown method 'exact'"),
+        (["split", "--method", "analytic"], "piecewise_rates.ini", "no closed-form split statistics"),
+        (["sweep", "--param", "spot_position", "--values", "0.5"], "two_spots.ini", "exactly one spot"),
+        (["sweep", "--param", "v0", "--values", "1,x"], "free_interval.ini", "bad --values"),
+        (["sweep", "--param", "v0", "--values", ","], "free_interval.ini", "--values is empty"),
     ],
-    ids=["pde-steady", "pde-green", "split-pde", "mc"],
+    ids=[
+        "pde-steady", "pde-green", "split-pde", "mc", "no-domain", "unknown-method",
+        "split-analytic", "sweep-two-spots", "sweep-bad-values", "sweep-no-values",
+    ],
 )
 def test_refused_input_exits_two(tmp_path, capsys, argv, ini, message):
-    path = os.path.join(SCENARIOS, ini) if ini else write(tmp_path, REFLECTING_ZERO)
+    # ini is a shipped file's name or the text of a file
+    path = os.path.join(SCENARIOS, ini) if ini.endswith(".ini") else write(tmp_path, ini)
     assert main(["--out", str(tmp_path / "out"), argv[0], path] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -540,13 +550,13 @@ def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
 
 
 def test_sweep_names_the_value_of_a_refused_input(tmp_path, capsys):
-    text = REFLECTING_ZERO.replace("right = reflecting", "right = injection\nphi = 1.0")
-    path = write(tmp_path, text.replace("rates = 0", "rates = 1.0"))
-    argv = ["sweep", path, "--param", "v0", "--values", "2"]
+    # a length that leaves the start point y = 0.5 outside the interval
+    path = write(tmp_path, REFLECTING_ZERO.replace("rates = 0", "rates = 1.0"))
+    argv = ["sweep", path, "--param", "length", "--values", "0.2"]
     assert main(["--out", str(tmp_path / "out")] + argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: v0=2.0: ")
-    assert "one injection and one absorbing" in err
+    assert err.startswith("error: length=0.2: invalid problem: ")
+    assert "point source at 0.5 not strictly inside" in err
 
 
 def test_mc_histogram_from_the_one_simulation(tmp_path, monkeypatch):
@@ -627,8 +637,12 @@ def split_rows(out):
 
 @pytest.mark.parametrize(
     "ini,param,value",
-    [("dirac_reference.ini", "v0", 0.0), ("pumps_on_background.ini", "spot_position", 0.6)],
-    ids=["v0-keeps-the-spot", "spot-position-keeps-the-rate"],
+    [
+        ("dirac_reference.ini", "v0", 0.0),
+        ("pumps_on_background.ini", "spot_position", 0.6),
+        ("dirac_reference.ini", "diffusion", 1.0),
+    ],
+    ids=["v0-keeps-the-spot", "spot-position-keeps-the-rate", "diffusion-keeps-the-measure"],
 )
 def test_sweep_edits_one_field_of_the_measure(tmp_path, ini, param, value):
     # at the scenario's own value the swept measure is the scenario's, so
@@ -640,6 +654,37 @@ def test_sweep_edits_one_field_of_the_measure(tmp_path, ini, param, value):
     swept, split = sweep_rows_at(tmp_path / "sweep", value), split_rows(tmp_path / "split")
     for observable in ("p_killed", "ratio_rinf"):
         assert swept[observable, "pde"] == split[observable, "pde"]
+
+
+def test_a_reflecting_injection_sweep_writes_the_split_rows(tmp_path):
+    # with no absorbing end the scenario is no channel: its injection end
+    # reflects the start point, and the sweep writes the rows `split` writes
+    text = REFLECTING_ZERO.replace("right = reflecting", "right = injection\nphi = 1.0")
+    text = text.replace("rates = 0", "rates = 1.0") + "\n[method]\nmc_dt = 1e-2\nmc_n = 500\n"
+    path = write(tmp_path, text)
+    argv = ["sweep", path, "--param", "v0", "--values", "1.0,2.0"]
+    assert main(["--out", str(tmp_path / "sweep")] + argv) == 0
+    assert main(["--out", str(tmp_path / "split"), "split", path]) == 0
+    split = split_rows(tmp_path / "split")
+    keys = sorted((observable, m) for observable in ("p_killed", "ratio_rinf") for m in ("pde", "mc"))
+    assert sorted(sweep_rows_at(tmp_path / "sweep", 2.0)) == keys
+    swept = sweep_rows_at(tmp_path / "sweep", 1.0)
+    assert sorted(swept) == keys
+    for key in keys:
+        assert swept[key] == split[key]
+
+
+def test_crosscheck_exits_one_on_a_failing_row(tmp_path, monkeypatch, capsys):
+    broken = crosscheck.Scenario(
+        "broken", "steady", interval(1.0), KillingMeasure.uniform(1.0),  # no injection end
+        grid=GridSpec(100, 1e-3, 1.0), mc=McConfig(dt=1e-3, n_trajectories=100),
+    )
+    monkeypatch.setattr(crosscheck, "default_matrix", lambda seed, workers: [broken])
+    assert main(["--out", str(tmp_path), "crosscheck"]) == 1
+    summary = (tmp_path / "summary.txt").read_text()
+    assert summary == capsys.readouterr().out
+    assert summary.startswith("[FAIL] broken / error: ") and summary.endswith("\n0/1 comparisons passed\n")
+    assert len((tmp_path / "discrepancies.csv").read_text().splitlines()) == 6
 
 
 def test_sweep_y_refuses_a_steady_scenario(tmp_path, capsys):
