@@ -44,8 +44,9 @@ event times at t = 0 (the rate k(y) for a start y away from the ends and
 spots); `survival_curve` evaluates S only at multiples of dt,
 where counting step ends is exact.
 
-Worker streams are counter-based (Philox keyed by (seed, worker index)) and
-reduced in worker order, so results are bit-identical for a fixed
+Each worker draws from its own stream, an SFC64 generator seeded by
+SeedSequence((seed, worker index)) (`_stream`), and the workers' outcomes
+are concatenated in worker order, so results are bit-identical for a fixed
 configuration regardless of scheduling.  A multi-worker simulation runs one
 job per worker with trajectories on a pool forked at the first such call
 and reused by every later one in the process (`_run_on_pool`); the outputs
@@ -76,15 +77,16 @@ point, so every draw and decision is the one the full laws give:
   erfcx runs on the other steps alone (`_KillLaw.kills`).
 
 The crossing times, kill times and kill positions are computed only on the
-few trajectories with an event.  At about 700 live trajectories each call's
-fixed cost weighs as much as its arithmetic: a trajectory-step costs about
-103 ns on the crosscheck matrix (121 without the screens; a shared 2-core
-x86-64 host, `bench/run.py --workload matrix --trace 1`), and about 43 ns
-on `scenarios/constant_killing_line.ini` (100k trajectories, one worker),
-of which the normal and the two uniforms take about 25.  The exact decisions
-and the midpoint estimator pay for it by allowing steps 20-80 times larger
-at the same accuracy (0.88 million trajectory-steps on the crosscheck
-matrix instead of 63 million).
+few trajectories with an event.  At about 750 live trajectories each call's
+fixed cost weighs as much as its arithmetic.  On a shared 2-core x86-64
+host, `bench/run.py --trace 1` reads about 100 ns a trajectory-step on the
+crosscheck matrix (`--workload matrix`; 115 without the screens) and about
+44 ns on the two-worker runs of `--workload mc-parallel`.  On
+`scenarios/constant_killing_line.ini` (100k trajectories, one worker) a
+step costs about 31 ns, of which the normal and the two uniforms take about
+14 (Philox takes 34).  The exact decisions and the midpoint estimator pay
+for it by allowing steps 20-80 times larger at the same accuracy (0.88
+million trajectory-steps on the crosscheck matrix instead of 63 million).
 """
 
 from __future__ import annotations
@@ -293,11 +295,16 @@ class _KillLaw:
         return s, site
 
 
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """The draws keyed (seed, key): an SFC64 generator seeded by
+    SeedSequence((seed mod 2**64, key)), so a negative seed names the stream
+    of its 64-bit two's complement."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, key))))
+
+
 def _simulate_worker(args) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     model, killing, y0, cfg, n, worker = args
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, worker], dtype=np.uint64))
-    )
+    rng = _stream(cfg.seed, worker)
     dom = model.domain
     L = dom.length
     D = model.diffusion

@@ -50,6 +50,16 @@ def test_split_probabilities_sum_to_one_exactly():
     assert stats.p_killed + stats.p_absorbed == 1.0
 
 
+def test_streams_are_keyed_by_the_seed_mod_2_64_and_the_key():
+    def draws(seed, key):
+        return montecarlo._stream(seed, key).random(8)
+
+    assert np.array_equal(draws(7, 1), draws(7, 1))
+    for other in [(6, 1), (8, 1), (7, 0), (7, 2)]:
+        assert not np.any(draws(7, 1) == draws(*other))
+    assert np.array_equal(draws(-1, 0), draws(2**64 - 1, 0))
+
+
 def test_same_seed_is_bit_identical():
     model = interval(2.0)
     killing = KillingMeasure.uniform(1.0)
@@ -196,14 +206,16 @@ def test_survival_curve_is_the_count_past_each_point(steps, points, dt):
 
 
 def test_survival_curve_is_the_exponential_law_at_a_large_step():
-    # uniform killing far from the ends of a wide line: S(t) = exp(-v0 t)
-    v0, dt = 1.0, 0.05
+    # uniform killing far from the ends of a wide line: S(t) = exp(-v0 t).
+    # All points at once lie within the DKW band (Dvoretzky-Kiefer-Wolfowitz,
+    # Massart's constant): sup |S_n - S| > sqrt(ln(2/alpha)/(2n)) has
+    # probability at most alpha, whatever the law of the event times
+    v0, dt, alpha = 1.0, 0.05, 1e-3
     out = montecarlo.simulate_outcomes(
-        interval(40.0), KillingMeasure.uniform(v0), 20.0, cfg(dt=dt, n_trajectories=20000)
+        interval(40.0), KillingMeasure.uniform(v0), 20.0, cfg(dt=dt, n_trajectories=40000)
     )
     times, s, _ = montecarlo.survival_curve(out, 40)
-    exact = np.exp(-v0 * times)
-    assert np.all(np.abs(s - exact) <= 3 * np.sqrt(exact * (1 - exact) / out.n))
+    assert np.all(np.abs(s - np.exp(-v0 * times)) <= math.sqrt(math.log(2 / alpha) / (2 * out.n)))
 
 
 def test_huge_spot_still_leaves_survivors():
@@ -427,9 +439,7 @@ def _reference_worker(args):
     from the formulas: the kernel that `montecarlo._simulate_worker` must
     reproduce draw for draw."""
     model, killing, y0, cfg, n, worker = args
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, worker], dtype=np.uint64))
-    )
+    rng = montecarlo._stream(cfg.seed, worker)
     dom = model.domain
     L = dom.length
     D = model.diffusion
